@@ -312,28 +312,31 @@ func (d *Disk) Barrier() error {
 	} else if err := sync(); err != nil {
 		return fmt.Errorf("disk: sync barrier: %w", err)
 	}
-	if d.obs.Enabled() {
-		if gs, ok := d.vol.(GroupSyncer); ok {
-			cur := gs.SyncStats()
-			delta := cur.Sub(d.lastSync)
-			d.lastSync = cur
-			// Counters only move when the volume's commit pipeline is on,
-			// so off-mode traces carry no pipeline events and stay
-			// byte-identical.
-			if delta.Batches > 0 {
-				d.obs.Emit(obs.Event{
-					Kind:  obs.KindVolGroupCommit,
-					Pages: int32(delta.Batches),
-					Aux1:  delta.Barriers / delta.Batches,
-					Aux2:  delta.Barriers,
-				})
-			}
-			if delta.Fsyncs > 0 {
-				d.obs.Emit(obs.Event{
-					Kind: obs.KindVolFsync,
-					Aux1: delta.Fsyncs,
-				})
-			}
+	// The snapshot advances on every barrier, traced or not, so the first
+	// event after the tracer attaches reports that barrier's delta and not
+	// every flush since Open.
+	if gs, ok := d.vol.(GroupSyncer); ok {
+		cur := gs.SyncStats()
+		delta := cur.Sub(d.lastSync)
+		d.lastSync = cur
+		if !d.obs.Enabled() {
+			return nil
+		}
+		// Counters only move when the volume's commit pipeline is on, so
+		// off-mode traces carry no pipeline events and stay byte-identical.
+		if delta.Batches > 0 {
+			d.obs.Emit(obs.Event{
+				Kind:  obs.KindVolGroupCommit,
+				Pages: int32(delta.Batches),
+				Aux1:  delta.Barriers / delta.Batches,
+				Aux2:  delta.Barriers,
+			})
+		}
+		if delta.Fsyncs > 0 {
+			d.obs.Emit(obs.Event{
+				Kind: obs.KindVolFsync,
+				Aux1: delta.Fsyncs,
+			})
 		}
 	}
 	return nil

@@ -15,9 +15,23 @@ import (
 // if the kernel had never flushed any of those writes — the pessimal but
 // legal crash outcome the recovery protocol must survive.
 //
-// Only the first write of a page per barrier interval is logged: later
-// writes to the same page are overwriting data that is already doomed.
+// Only the first write of a page per generation is logged: later writes to
+// the same page are overwriting data that is already doomed.
+//
+// The log keeps two generations because the commit pipeline flushes with
+// its mutex dropped: a write landing while a flush is in flight is NOT
+// covered by that flush. Sealing a flush moves everything captured so far
+// into the sealed generation and starts an empty current one; the flush's
+// success drops the sealed generation only, so a cut at the next barrier
+// still rolls the mid-flush writes back — to the bytes the sealed flush
+// made durable, which is exactly what their pre-images hold.
 type crashLog struct {
+	cur    logGen // captured since the last seal
+	sealed logGen // captured before the flush in flight was sealed
+}
+
+// logGen is one generation of pre-images.
+type logGen struct {
 	pages map[pageKey][]byte // nil slice: page was past EOF before the write
 	sizes map[disk.AreaID]sizeEntry
 }
@@ -32,33 +46,38 @@ type sizeEntry struct {
 	size int64
 }
 
-func newCrashLog() *crashLog {
-	return &crashLog{
+func newLogGen() logGen {
+	return logGen{
 		pages: make(map[pageKey][]byte),
 		sizes: make(map[disk.AreaID]sizeEntry),
 	}
 }
 
+func newCrashLog() *crashLog {
+	return &crashLog{cur: newLogGen(), sealed: newLogGen()}
+}
+
 // beforeWrite captures the pre-image of the n bytes at off in area (page
 // granular: n is a multiple of pageSize) before they are overwritten.
 func (l *crashLog) beforeWrite(area disk.AreaID, a *areaFile, off int64, n, pageSize int) error {
-	if _, seen := l.sizes[area]; !seen {
+	g := l.cur
+	if _, seen := g.sizes[area]; !seen {
 		st, err := a.f.Stat()
 		if err != nil {
 			return fmt.Errorf("filevol: crash log stat area %d: %w", area, err)
 		}
-		l.sizes[area] = sizeEntry{a: a, size: st.Size()}
+		g.sizes[area] = sizeEntry{a: a, size: st.Size()}
 	}
-	oldSize := l.sizes[area].size
+	oldSize := g.sizes[area].size
 	for p := int64(0); p < int64(n); p += int64(pageSize) {
 		k := pageKey{area: area, off: off + p}
-		if _, seen := l.pages[k]; seen {
+		if _, seen := g.pages[k]; seen {
 			continue
 		}
 		if k.off >= oldSize {
 			// The page is past the pre-barrier EOF; the size rollback's
 			// truncate removes it, no bytes to keep.
-			l.pages[k] = nil
+			g.pages[k] = nil
 			continue
 		}
 		img := make([]byte, pageSize)
@@ -67,25 +86,51 @@ func (l *crashLog) beforeWrite(area disk.AreaID, a *areaFile, off int64, n, page
 			return fmt.Errorf("filevol: crash log read area %d off %d: %w", area, k.off, err)
 		}
 		clear(img[m:])
-		l.pages[k] = img
+		g.pages[k] = img
 	}
 	return nil
 }
 
+// seal starts a new generation: everything captured so far belongs to the
+// flush about to run. The sealed generation is empty here — flushes are
+// serial, a successful one dropped it and a failed one is terminal — so
+// the swap recycles its maps.
+func (l *crashLog) seal() { l.cur, l.sealed = l.sealed, l.cur }
+
+// flushed drops the sealed generation: the flush that covered it succeeded.
+func (l *crashLog) flushed() { l.sealed.clear() }
+
 // clear drops the log: everything recorded is now durable.
 func (l *crashLog) clear() {
-	for k := range l.pages {
-		delete(l.pages, k)
-	}
-	for k := range l.sizes {
-		delete(l.sizes, k)
-	}
+	l.cur.clear()
+	l.sealed.clear()
+}
+
+func (g logGen) clear() {
+	clear(g.pages)
+	clear(g.sizes)
 }
 
 // rollback restores every logged pre-image and truncates each touched file
-// back to its pre-barrier size, then clears the log.
+// back to its pre-barrier size, then clears the log. A cut only ever fires
+// with no flush in flight, when the sealed generation is empty; it is
+// still walked — newest generation first, so the older image of a page or
+// size in both lands last — to keep rollback total.
 func (l *crashLog) rollback(v *Volume) error {
-	for k, img := range l.pages {
+	for _, g := range [...]logGen{l.cur, l.sealed} {
+		if err := g.rollback(v); err != nil {
+			return err
+		}
+	}
+	if err := l.fsyncAll(v); err != nil {
+		return err
+	}
+	l.clear()
+	return nil
+}
+
+func (g logGen) rollback(v *Volume) error {
+	for k, img := range g.pages {
 		if img == nil {
 			continue // removed by the truncate below
 		}
@@ -97,7 +142,7 @@ func (l *crashLog) rollback(v *Volume) error {
 			return fmt.Errorf("filevol: restoring area %d off %d: %w", k.area, k.off, err)
 		}
 	}
-	for area, e := range l.sizes {
+	for area, e := range g.sizes {
 		if err := e.a.f.Truncate(e.size); err != nil {
 			return fmt.Errorf("filevol: truncating area %d to %d: %w", area, e.size, err)
 		}
@@ -107,10 +152,6 @@ func (l *crashLog) rollback(v *Volume) error {
 		// writes back in.
 		e.a.dirty = false
 	}
-	if err := l.fsyncAll(v); err != nil {
-		return err
-	}
-	l.clear()
 	return nil
 }
 

@@ -19,6 +19,13 @@
 // writes are rolled back — exactly what a kernel that never flushed its
 // page cache would leave behind — and the volume goes dead, failing every
 // later operation with ErrPowerCut.
+//
+// Fail-stop. The first failed device flush poisons the volume: that
+// barrier and every later operation return ErrVolumeFailed. A failed
+// fsync must never be retried — on Linux the kernel may already have
+// dropped the dirty pages and marked them clean, so the retry "succeeds"
+// over lost writes — and only a reopen, which re-reads what the device
+// really holds and runs recovery, may trust the files again.
 package filevol
 
 import (
@@ -27,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 
 	"lobstore/internal/disk"
 )
@@ -75,6 +83,12 @@ func ParsePolicy(s string) (Policy, error) {
 // the barrier that fired it and by every operation after it.
 var ErrPowerCut = errors.New("filevol: simulated power cut")
 
+// ErrVolumeFailed is the terminal error of a failed device flush (or a
+// failed queued write the flush had to fence): returned, wrapping the
+// cause, by the barrier that hit it — every member of its commit group —
+// and by every operation after it. Reopening the volume recovers.
+var ErrVolumeFailed = errors.New("filevol: volume failed")
+
 // ErrReadOnly is returned by writes on a volume opened read-only.
 var ErrReadOnly = errors.New("filevol: volume is read-only")
 
@@ -84,7 +98,9 @@ var _ disk.GroupSyncer = (*Volume)(nil)
 // Volume is a file-backed disk.Volume. Without the commit pipeline it is
 // not safe for concurrent use (the single-threaded simulation path, kept
 // lock-free); WithGroupCommit or WithAsyncWriteback enable the pipeline,
-// whose mutex makes every method safe for concurrent callers.
+// whose mutex makes every method safe for concurrent callers. The mutex
+// covers bookkeeping and the pread/pwrite calls, never a barrier's device
+// flush.
 type Volume struct {
 	dir      string
 	pageSize int
@@ -97,11 +113,20 @@ type Volume struct {
 	// behavior byte-for-byte.
 	pipe *pipeline
 
+	// fault is nil while the volume is healthy; ErrPowerCut after an
+	// injected cut, a wrapped ErrVolumeFailed after a failed flush. Once
+	// set it is returned by every operation.
+	fault error
+
+	// flushHook, when set, runs before each flush's fdatasyncs (for a
+	// barrier's flush, outside the pipeline mutex); its error stands in
+	// for the device's. Testing aid.
+	flushHook func() error
+
 	// crash-injection state (nil / disabled in production use)
 	log      *crashLog
-	barriers int64 // completed Sync calls
+	barriers int64 // Sync calls so far
 	failAt   int64 // barrier number that power-cuts; 0 = disarmed
-	dead     bool
 }
 
 type areaFile struct {
@@ -127,6 +152,23 @@ func WithPolicy(p Policy) Option {
 // with FailAtBarrier. Testing aid: every write pays one extra pread.
 func WithCrashLog() Option {
 	return func(v *Volume) { v.log = newCrashLog() }
+}
+
+// WithFlushHook runs fn before the fdatasyncs of every flush — outside the
+// pipeline mutex for a barrier's flush — and treats a non-nil result as
+// the device's failure. Testing aid: a blocking fn holds a flush open, a
+// failing one injects an fsync error.
+func WithFlushHook(fn func() error) Option {
+	return func(v *Volume) { v.flushHook = fn }
+}
+
+// WithSyncDelay injects artificial latency into every flush. Testing aid:
+// it widens the window in which concurrent barriers pile into one group.
+func WithSyncDelay(d time.Duration) Option {
+	return WithFlushHook(func() error {
+		time.Sleep(d)
+		return nil
+	})
 }
 
 // ReadOnly opens the area files read-only and fails every write. Used by
@@ -235,8 +277,8 @@ func (v *Volume) ReadRun(addr disk.Addr, npages int, dst []byte) error {
 }
 
 func (v *Volume) readRun(addr disk.Addr, npages int, dst []byte) error {
-	if v.dead {
-		return ErrPowerCut
+	if v.fault != nil {
+		return v.fault
 	}
 	a, err := v.area(addr.Area)
 	if err != nil {
@@ -258,15 +300,17 @@ func (v *Volume) readRun(addr disk.Addr, npages int, dst []byte) error {
 // SyncAlways) the pwrite is queued to the background writer instead and
 // the next barrier, read or close fences it; the crash-log pre-image is
 // still captured here, synchronously, which is safe because the first
-// write of a page per barrier interval can never have a queued write of
-// the same page ahead of it (the interval began with a fence).
+// write of a page per crash-log generation can never have a queued write
+// of the same page ahead of it (the generation began with a fence).
+// A write landing while another caller's barrier flush is in flight
+// re-dirties its area and is covered by the next flush, not that one.
 func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
 	if v.pipe != nil {
 		v.pipe.mu.Lock()
 		defer v.pipe.mu.Unlock()
 	}
-	if v.dead {
-		return ErrPowerCut
+	if v.fault != nil {
+		return v.fault
 	}
 	if v.readOnly {
 		return ErrReadOnly
@@ -294,7 +338,7 @@ func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
 	}
 	if v.policy == SyncAlways {
 		if err := fdatasync(a.f); err != nil {
-			return fmt.Errorf("filevol: sync after write %v: %w", addr, err)
+			return v.fail(fmt.Errorf("filevol: sync after write %v: %w", addr, err))
 		}
 		if v.log != nil {
 			v.log.clear()
@@ -315,8 +359,8 @@ func (v *Volume) Grow(id disk.AreaID, npages int) error {
 		v.pipe.mu.Lock()
 		defer v.pipe.mu.Unlock()
 	}
-	if v.dead {
-		return ErrPowerCut
+	if v.fault != nil {
+		return v.fault
 	}
 	if v.readOnly {
 		return ErrReadOnly
@@ -345,13 +389,14 @@ func (v *Volume) Grow(id disk.AreaID, npages int) error {
 // no-op (the former is already durable, the latter opts out). An armed
 // power cut fires here: un-synced writes are rolled back and the volume
 // dies. Through the pipeline the barrier fences the async writer first
-// and may be acknowledged by another caller's flush (group commit).
+// and may be acknowledged by another caller's flush (group commit) — but
+// only by one sealed after this call arrived.
 func (v *Volume) Sync() error {
 	if v.pipe != nil {
 		return v.pipe.barrier(v)
 	}
-	if v.dead {
-		return ErrPowerCut
+	if v.fault != nil {
+		return v.fault
 	}
 	v.barriers++
 	if v.failAt > 0 && v.barriers >= v.failAt {
@@ -364,24 +409,68 @@ func (v *Volume) Sync() error {
 	return err
 }
 
-// syncDirty flushes (fdatasync) every file written since its last flush
-// and reports how many device flushes it issued.
-func (v *Volume) syncDirty() (int, error) {
-	flushes := 0
-	for id, a := range v.areas {
-		if !a.dirty {
-			continue
+// A flush is three steps — sealDirty, syncFiles, flushDone — so that the
+// pipeline can run the middle one, the only slow one, with its mutex
+// dropped. syncDirty is the three back to back, for callers that own the
+// volume outright.
+
+// sealDirty snapshots and clears the dirty-area set and seals the crash
+// log's generation: what was written up to here is the coming flush's to
+// make durable, anything later re-dirties its area for the next one.
+func (v *Volume) sealDirty() []*os.File {
+	var files []*os.File
+	for _, a := range v.areas {
+		if a.dirty {
+			files = append(files, a.f)
+			a.dirty = false
 		}
-		if err := fdatasync(a.f); err != nil {
-			return flushes, fmt.Errorf("filevol: sync area %d: %w", id, err)
-		}
-		a.dirty = false
-		flushes++
 	}
 	if v.log != nil {
-		v.log.clear()
+		v.log.seal()
 	}
-	return flushes, nil
+	return files
+}
+
+// syncFiles issues the device flushes (fdatasync) for a sealed snapshot
+// and reports how many it issued. It reads no volume state but the hook.
+func (v *Volume) syncFiles(files []*os.File) (int, error) {
+	if v.flushHook != nil {
+		if err := v.flushHook(); err != nil {
+			return 0, err
+		}
+	}
+	for i, f := range files {
+		if err := fdatasync(f); err != nil {
+			return i, fmt.Errorf("filevol: sync %s: %w", filepath.Base(f.Name()), err)
+		}
+	}
+	return len(files), nil
+}
+
+// flushDone publishes a flush's outcome: success drops the pre-images the
+// flush covered; failure is fail-stop.
+func (v *Volume) flushDone(err error) error {
+	if err != nil {
+		return v.fail(err)
+	}
+	if v.log != nil {
+		v.log.flushed()
+	}
+	return nil
+}
+
+func (v *Volume) syncDirty() (int, error) {
+	n, err := v.syncFiles(v.sealDirty())
+	return n, v.flushDone(err)
+}
+
+// fail poisons the volume with its first flush failure and returns the
+// terminal error.
+func (v *Volume) fail(err error) error {
+	if v.fault == nil {
+		v.fault = fmt.Errorf("%w: %w", ErrVolumeFailed, err)
+	}
+	return v.fault
 }
 
 // SyncAll forces everything to stable storage regardless of policy: the
@@ -390,37 +479,35 @@ func (v *Volume) SyncAll() error {
 	if v.pipe != nil {
 		v.pipe.mu.Lock()
 		defer v.pipe.mu.Unlock()
-		if v.dead {
-			return ErrPowerCut
-		}
-		if err := v.pipe.fence(); err != nil {
-			return err
-		}
-		_, err := v.syncDirty()
-		return err
+		v.pipe.awaitTurn()
 	}
-	if v.dead {
-		return ErrPowerCut
+	if v.fault != nil {
+		return v.fault
+	}
+	if err := v.pipe.fence(); err != nil {
+		return v.fail(err)
 	}
 	_, err := v.syncDirty()
 	return err
 }
 
-// Close flushes (policy-independently, unless the volume is dead or
+// Close flushes (policy-independently, unless the volume is faulted or
 // read-only), stops the pipeline, and closes every area file.
 func (v *Volume) Close() error {
 	if v.pipe != nil {
 		v.pipe.mu.Lock()
 		defer v.pipe.mu.Unlock()
+		v.pipe.awaitTurn()
 	}
+	flush := v.fault == nil && !v.readOnly
 	var errs []error
-	if v.pipe != nil && !v.dead && !v.readOnly {
+	if flush {
 		errs = append(errs, v.pipe.fence())
 	}
 	if v.pipe != nil {
 		v.pipe.stop()
 	}
-	if !v.dead && !v.readOnly {
+	if flush {
 		_, err := v.syncDirty()
 		errs = append(errs, err)
 	}
@@ -482,10 +569,11 @@ func (v *Volume) FailAtBarrier(n int64) error {
 }
 
 // powerCut rolls back every un-synced write and marks the volume dead.
+// Under the pipeline the caller holds the flush turn: no flush is in flight.
 func (v *Volume) powerCut() error {
 	if err := v.log.rollback(v); err != nil {
 		return fmt.Errorf("filevol: power cut rollback: %w", err)
 	}
-	v.dead = true
+	v.fault = ErrPowerCut
 	return ErrPowerCut
 }

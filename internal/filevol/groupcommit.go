@@ -16,19 +16,30 @@ import (
 // no-goroutines/no-sync rule — so the simulation layers above stay
 // single-threaded and the paper's cost accounting is untouched.
 //
-// Group commit. Under policy "commit" every §3.3 barrier is one fsync,
-// and BENCH_volume.json shows that fsync dwarfs the pwrite it covers
-// (~166 µs vs ~2 µs per 4-page run). When N clients commit concurrently
-// those N fsyncs are redundant: one device flush covering all their
-// writes acknowledges every barrier. The combiner implements the classic
-// leader/follower split: the first barrier to arrive forms a commit
-// group and becomes its leader; barriers arriving while the group is
-// forming join as followers and park on the group's done channel. The
-// leader waits until the group is full (MaxBatch members) or MaxDelay
-// has passed, seals the group, runs ONE fence+fdatasync pass for every
-// dirty area, and broadcasts the outcome by closing done. Every member —
-// leader and followers alike — returns only after that shared flush, so
-// each acknowledged barrier carries exactly the durability §3.3 demands.
+// Group commit. Under policy "commit" every §3.3 barrier is one device
+// flush, and BENCH_volume.json shows that flush dwarfs the pwrite it
+// covers (~166 µs vs ~2 µs per 4-page run). The pipeline mutex therefore
+// covers bookkeeping and pread/pwrite only; the flush runs with it
+// dropped, one flush at a time (the "turn"), and barriers combine behind
+// the flush in flight:
+//
+//	join   a barrier joins the forming commit group, opening one — and
+//	       becoming its leader — if there is none. The member that brings
+//	       the group to its cap seals it; later arrivals open the next.
+//	seal   the leader (after holding the group open for up to MaxDelay)
+//	       waits for the turn, closes the group to new members, snapshots
+//	       and clears the dirty-area set, and drops the mutex.
+//	flush  fence the async writer, fdatasync the snapshotted files — while
+//	       other callers read, write, grow and join the next group.
+//	ack    the leader retakes the mutex, publishes the outcome, passes the
+//	       turn on and wakes its followers.
+//
+// A barrier is thus only ever acknowledged by a flush sealed after it
+// arrived, and every byte written before the arrival had reached the file
+// (or the writer queue the flush fences) by then — the §3.3 condition. A
+// write landing mid-flush re-dirties its area and belongs to the next
+// flush. The cap is max(1, MaxBatch): with batching off every group is a
+// group of one and the same code runs.
 //
 // Async write-back. WriteRun normally pwrites on the caller's critical
 // path. With the background writer enabled the call captures its
@@ -46,11 +57,15 @@ import (
 //
 //	commit  fence the writer, then one fdatasync per dirty area for the
 //	        whole group — the case batching exists for;
-//	always  writes are already durable; the barrier only fences and
-//	        checks the armed power cut (no group forms, nothing to
-//	        amortize);
-//	never   fence only — ordering into the OS is preserved, durability
-//	        is declined, no group forms.
+//	always  writes are already durable; the barrier is a group of one that
+//	        only fences and checks the armed power cut;
+//	never   a group of one that only fences — ordering into the OS is
+//	        preserved, durability is declined.
+//
+// Failure is fail-stop: a failed fence or fdatasync poisons the volume
+// (ErrVolumeFailed) for every member of the group and every later call;
+// the dirty flags were cleared at the seal, and a retried fsync could
+// succeed over pages the kernel already dropped.
 //
 // Crash injection composes: an armed power cut that lands on any member
 // of a forming group dooms the whole group. The leader, instead of the
@@ -63,28 +78,20 @@ import (
 type GroupCommit struct {
 	// MaxBatch is the largest number of concurrent Sync calls one device
 	// flush may acknowledge. Values <= 1 disable batching: every barrier
-	// flushes for itself (the pipeline's bookkeeping still runs).
+	// is a group of one and flushes for itself.
 	MaxBatch int
-	// MaxDelay bounds how long the leader holds the forming group open
-	// waiting for followers when the group is not yet full. Zero means
-	// the leader flushes immediately with whoever has already joined —
-	// no added latency, batching only under genuine contention.
+	// MaxDelay is how long a leader holds its group open for followers
+	// before asking for the flush turn, unless the group fills first. Zero
+	// adds no latency: the group is whoever arrived while the previous
+	// flush was in flight — batching only under genuine contention.
 	MaxDelay time.Duration
 }
-
-// enabled reports whether barriers actually combine.
-func (g GroupCommit) enabled() bool { return g.MaxBatch > 1 }
 
 // WithGroupCommit enables the commit pipeline with group commit: N
 // concurrent commit-policy barriers are acknowledged by a single flush.
 // The volume becomes safe for concurrent use.
 func WithGroupCommit(g GroupCommit) Option {
-	return func(v *Volume) {
-		if v.pipe == nil {
-			v.pipe = &pipeline{}
-		}
-		v.pipe.gc = g
-	}
+	return func(v *Volume) { v.pipeline().gc = g }
 }
 
 // WithAsyncWriteback enables the commit pipeline with the background
@@ -92,24 +99,16 @@ func WithGroupCommit(g GroupCommit) Option {
 // it, and every barrier (or read) fences the queue first. The volume
 // becomes safe for concurrent use.
 func WithAsyncWriteback() Option {
-	return func(v *Volume) {
-		if v.pipe == nil {
-			v.pipe = &pipeline{}
-		}
-		v.pipe.wantWriter = true
-	}
+	return func(v *Volume) { v.pipeline().wantWriter = true }
 }
 
-// WithSyncDelay injects artificial latency into every group flush.
-// Testing aid: it widens the window in which concurrent barriers pile
-// into one group, making batching deterministic enough to assert on.
-func WithSyncDelay(d time.Duration) Option {
-	return func(v *Volume) {
-		if v.pipe == nil {
-			v.pipe = &pipeline{}
-		}
-		v.pipe.syncDelay = d
+// pipeline returns the volume's commit pipeline, enabling it on first use.
+func (v *Volume) pipeline() *pipeline {
+	if v.pipe == nil {
+		v.pipe = &pipeline{}
+		v.pipe.turn.L = &v.pipe.mu
 	}
+	return v.pipe
 }
 
 // pipeline is the per-volume commit-pipeline state. Its mutex guards ALL
@@ -122,15 +121,16 @@ type pipeline struct {
 	wantWriter bool
 	aw         *asyncWriter
 	cur        *commitGroup // forming group; nil when none
+	flushing   bool         // a flush is in flight with mu dropped
+	turn       sync.Cond    // on mu; broadcast when flushing falls
 	stats      disk.SyncStats
-	syncDelay  time.Duration
 }
 
 // commitGroup is one leader/follower batch of concurrent barriers.
 type commitGroup struct {
 	members int
 	doomed  bool          // an armed power cut landed on a member
-	full    chan struct{} // closed when members reaches MaxBatch
+	full    chan struct{} // closed when members reaches the cap
 	done    chan struct{} // closed by the leader after the shared flush
 	err     error         // the shared outcome; set before done closes
 }
@@ -144,94 +144,142 @@ func (p *pipeline) start() {
 }
 
 // fence is the hard flush-fence: it blocks until every queued write has
-// been handed to the OS. With no writer it is free.
+// been handed to the OS. With no writer — or no pipeline — it is free.
 func (p *pipeline) fence() error {
-	if p.aw == nil {
+	if p == nil || p.aw == nil {
 		return nil
 	}
 	return p.aw.drain()
 }
 
-// barrier is Volume.Sync through the pipeline. p.mu must NOT be held.
-func (p *pipeline) barrier(v *Volume) error {
-	p.mu.Lock()
-	if v.dead {
-		p.mu.Unlock()
-		return ErrPowerCut
+// awaitTurn blocks until no flush is in flight. p.mu held.
+func (p *pipeline) awaitTurn() {
+	for p.flushing {
+		p.turn.Wait()
 	}
-	v.barriers++
-	p.stats.Barriers++
-	doomed := v.failAt > 0 && v.barriers >= v.failAt
-	if v.policy != SyncCommit || !p.gc.enabled() {
-		err := p.flushLocked(v, doomed, 1)
-		p.mu.Unlock()
-		return err
-	}
-	if g := p.cur; g != nil {
-		// Follower: join the forming group and wait for its leader. The
-		// member that fills the batch seals the group so later arrivals
-		// form the next one — a group never exceeds MaxBatch.
-		g.members++
-		g.doomed = g.doomed || doomed
-		if g.members == p.gc.MaxBatch {
-			p.cur = nil
-			close(g.full)
-		}
-		p.mu.Unlock()
-		<-g.done
-		return g.err
-	}
-	// Leader: open a group, hold it open for followers, flush once.
-	g := &commitGroup{
-		members: 1,
-		doomed:  doomed,
-		full:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	p.cur = g
-	if p.gc.MaxDelay > 0 && g.members < p.gc.MaxBatch {
-		p.mu.Unlock()
-		t := time.NewTimer(p.gc.MaxDelay)
-		select {
-		case <-g.full:
-		case <-t.C:
-		}
-		t.Stop()
-		p.mu.Lock()
-	}
-	if p.cur == g {
-		p.cur = nil // seal: later barriers form the next group
-	}
-	g.err = p.flushLocked(v, g.doomed, g.members)
-	p.mu.Unlock()
-	close(g.done)
-	return g.err
 }
 
-// flushLocked makes one group (possibly of one) durable: fence the
-// writer, fire a doomed power cut, then fdatasync per policy. p.mu held.
-func (p *pipeline) flushLocked(v *Volume, doomed bool, members int) error {
-	if err := p.fence(); err != nil {
-		return err
-	}
-	if doomed {
-		return v.powerCut()
-	}
-	if v.policy != SyncCommit {
-		return nil
-	}
-	if p.syncDelay > 0 {
-		time.Sleep(p.syncDelay)
-	}
-	n, err := v.syncDirty()
+// barrier is Volume.Sync through the pipeline. p.mu must NOT be held.
+func (p *pipeline) barrier(v *Volume) error {
+	g, leader, err := p.join(v)
 	if err != nil {
 		return err
 	}
-	p.stats.Batches++
-	p.stats.Fsyncs += int64(n)
-	if int64(members) > p.stats.MaxBatch {
-		p.stats.MaxBatch = int64(members)
+	if !leader {
+		<-g.done
+		return g.err
 	}
+	if p.gc.MaxDelay > 0 {
+		g.awaitFull(p.gc.MaxDelay)
+	}
+	files, err := p.seal(v, g)
+	if err == nil {
+		var n int
+		n, err = p.flush(v, files)
+		err = p.ack(v, g, n, err)
+	}
+	g.err = err
+	close(g.done)
+	return err
+}
+
+// awaitFull holds the group open for followers: until it fills or d has
+// passed. A group born full (a cap of one) costs no timer.
+func (g *commitGroup) awaitFull(d time.Duration) {
+	select {
+	case <-g.full:
+		return
+	default:
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-g.full:
+	case <-t.C:
+	}
+}
+
+// join counts one arriving barrier into the forming group, opening one if
+// there is none; the opener leads it.
+func (p *pipeline) join(v *Volume) (g *commitGroup, leader bool, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if v.fault != nil {
+		return nil, false, v.fault
+	}
+	v.barriers++
+	p.stats.Barriers++
+	g = p.cur
+	if g == nil {
+		g = &commitGroup{full: make(chan struct{}), done: make(chan struct{})}
+		p.cur = g
+		leader = true
+	}
+	g.members++
+	g.doomed = g.doomed || (v.failAt > 0 && v.barriers >= v.failAt)
+	// Only commit-policy barriers have a flush to share.
+	if v.policy != SyncCommit || g.members >= p.gc.MaxBatch {
+		p.cur = nil // later barriers form the next group
+		close(g.full)
+	}
+	return g, leader, nil
+}
+
+// seal takes the flush turn for g and snapshots what its flush must
+// cover. On error the turn was not taken: the volume is faulted — by an
+// earlier flush, or by g's own power cut, fired here under the mutex
+// because no flush is in flight to race the rollback.
+func (p *pipeline) seal(v *Volume, g *commitGroup) ([]*os.File, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.awaitTurn()
+	if p.cur == g {
+		p.cur = nil
+	}
+	if v.fault != nil {
+		return nil, v.fault
+	}
+	if v.log != nil {
+		// The crash log captures pre-images from the file, so each of its
+		// generations must begin with an empty queue — and a rollback (a
+		// cut needs the log) must follow every queued write.
+		if err := p.fence(); err != nil {
+			return nil, v.fail(err)
+		}
+	}
+	if g.doomed {
+		return nil, v.powerCut()
+	}
+	p.flushing = true
+	if v.policy != SyncCommit {
+		return nil, nil
+	}
+	return v.sealDirty(), nil
+}
+
+// flush is the slow step, run with p.mu dropped while holding the turn.
+func (p *pipeline) flush(v *Volume, files []*os.File) (int, error) {
+	if err := p.fence(); err != nil {
+		return 0, err
+	}
+	if v.policy != SyncCommit {
+		return 0, nil
+	}
+	return v.syncFiles(files)
+}
+
+// ack publishes g's flush outcome and passes the turn on.
+func (p *pipeline) ack(v *Volume, g *commitGroup, fsyncs int, err error) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.flushing = false
+	p.turn.Broadcast()
+	if err = v.flushDone(err); err != nil || v.policy != SyncCommit {
+		return err
+	}
+	p.stats.Batches++
+	p.stats.Fsyncs += int64(fsyncs)
+	p.stats.MaxBatch = max(p.stats.MaxBatch, int64(g.members))
 	return nil
 }
 

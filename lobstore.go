@@ -161,11 +161,14 @@ type Config struct {
 // (see internal/filevol).
 type GroupCommit struct {
 	// MaxBatch is the largest number of concurrent commit barriers one
-	// device flush may acknowledge. Values <= 1 leave batching off.
+	// device flush may acknowledge. Values <= 1 leave batching off: every
+	// barrier is a batch of one.
 	MaxBatch int
-	// MaxDelay bounds how long the first barrier in a batch waits for
-	// company when the batch is not full. Zero = flush immediately with
-	// whoever already joined.
+	// MaxDelay is how long the first barrier of a batch holds it open for
+	// company, unless it fills first, before queueing for the device. Zero
+	// adds no wait: device flushes run one at a time outside the volume's
+	// lock, so a batch is whoever arrived while the previous flush was in
+	// flight — batching emerges from contention alone.
 	MaxDelay time.Duration
 }
 
