@@ -89,9 +89,8 @@ func main() {
 		dir       = flag.String("dir", "", "directory of the file-backed database (backend file)")
 		sync      = flag.String("sync", "commit", "file-backend fsync policy: always, commit or never")
 		coalesce  = flag.Bool("coalesce", false, "enable elevator write coalescing and sequential read-ahead")
-		groupMax  = flag.Int("group-commit", 0, "file-backend group commit: max barriers per device flush (0 = off)")
+		groupMax  = flag.Int("group-commit", 0, "file-backend group commit: max barriers per device flush (<= 1 = groups of one)")
 		groupWait = flag.Duration("group-delay", 0, "file-backend group commit: max wait for a batch to fill")
-		asyncWB   = flag.Bool("async-writeback", false, "file-backend: move pwrites onto a background writer")
 		conc      = flag.Bool("concurrent", false, "open the database through the concurrency engine (thread-safe handles, snapshot reads)")
 		bufPages  = flag.Int("buffer-pages", 0, "buffer pool size in pages (0 = paper default; -concurrent needs a larger pool and picks one)")
 	)
@@ -101,7 +100,6 @@ func main() {
 	cfg.Backend, cfg.Dir, cfg.SyncPolicy = *backend, *dir, *sync
 	cfg.Coalesce = *coalesce
 	cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: *groupMax, MaxDelay: *groupWait}
-	cfg.AsyncWriteback = *asyncWB
 	cfg.Concurrent = *conc
 	switch {
 	case *bufPages > 0:

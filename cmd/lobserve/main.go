@@ -5,7 +5,7 @@
 // snapshot reads, and commits from independent connections coalesce into
 // the file backend's group-commit batches.
 //
-//	$ lobserve -addr :7431 -backend file -dir /data/lob -group-commit 16 -group-delay 2ms
+//	$ lobserve -addr :7431 -backend file -dir /data/lob
 //
 // The server logs "listening on ADDR" to stderr once ready (use -addr
 // with port 0 to pick a free port), and shuts down cleanly on SIGINT or
@@ -13,17 +13,16 @@
 //
 // Flags:
 //
-//	-addr            TCP listen address (default 127.0.0.1:7431)
-//	-backend         mem or file (default mem)
-//	-dir             file-backend directory
-//	-sync            file-backend fsync policy: always, commit, never
-//	-group-commit    max barriers per device flush (0 = off)
-//	-group-delay     max wait for a group-commit batch to fill
-//	-async-writeback move pwrites onto a background writer
-//	-coalesce        elevator write coalescing + sequential read-ahead
-//	-buffer-pages    buffer pool size in pages (0 = concurrent minimum)
-//	-workers         executor goroutines per connection (0 = default 4)
-//	-chunk           streaming-read frame payload bytes (0 = 64KiB)
+//	-addr          TCP listen address (default 127.0.0.1:7431)
+//	-backend       mem or file (default mem)
+//	-dir           file-backend directory
+//	-sync          file-backend fsync policy: always, commit, never
+//	-group-commit  max barriers per device flush (default 16)
+//	-group-delay   max wait for a group-commit batch to fill
+//	-coalesce      elevator write coalescing + sequential read-ahead
+//	-buffer-pages  buffer pool size in pages (0 = concurrent minimum)
+//	-workers       executor goroutines per connection (0 = default 4)
+//	-chunk         streaming-read frame payload bytes (0 = 64KiB)
 //
 // lobload is the matching load generator.
 package main

@@ -114,9 +114,8 @@ func readSuper(dir string) (Config, error) {
 // openFile creates or reopens a durable file-backed database under
 // cfg.Dir. A directory with a superblock is an existing database and is
 // reopened (its recorded geometry wins over the caller's cfg; Dir,
-// SyncPolicy, CrashInjection, Coalesce, GroupCommit, AsyncWriteback and
-// Concurrent still come from the caller); otherwise a fresh database is
-// created.
+// SyncPolicy, CrashInjection, Coalesce, GroupCommit and Concurrent still
+// come from the caller); otherwise a fresh database is created.
 func openFile(cfg Config) (*DB, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("lobstore: file backend needs Config.Dir")
@@ -136,29 +135,17 @@ func openFile(cfg Config) (*DB, error) {
 	if !fresh {
 		super.Dir, super.SyncPolicy, super.CrashInjection = cfg.Dir, cfg.SyncPolicy, cfg.CrashInjection
 		super.Coalesce = cfg.Coalesce
-		super.GroupCommit, super.AsyncWriteback = cfg.GroupCommit, cfg.AsyncWriteback
+		super.GroupCommit = cfg.GroupCommit
 		super.Concurrent = cfg.Concurrent
 		cfg = super
 	}
 
-	opts := []filevol.Option{filevol.WithPolicy(policy)}
+	opts := []filevol.Option{
+		filevol.WithPolicy(policy),
+		filevol.WithGroupCommit(filevol.GroupCommit(cfg.GroupCommit)),
+	}
 	if cfg.CrashInjection {
 		opts = append(opts, filevol.WithCrashLog())
-	}
-	if cfg.GroupCommit.MaxBatch > 0 {
-		opts = append(opts, filevol.WithGroupCommit(filevol.GroupCommit{
-			MaxBatch: cfg.GroupCommit.MaxBatch,
-			MaxDelay: cfg.GroupCommit.MaxDelay,
-		}))
-	}
-	if cfg.AsyncWriteback {
-		opts = append(opts, filevol.WithAsyncWriteback())
-	}
-	if cfg.Concurrent && cfg.GroupCommit.MaxBatch <= 0 && !cfg.AsyncWriteback {
-		// Concurrent committers need the commit pipeline's internal mutex
-		// even when batching is off: MaxBatch 1 engages the pipeline
-		// without changing flush behavior.
-		opts = append(opts, filevol.WithGroupCommit(filevol.GroupCommit{MaxBatch: 1}))
 	}
 	vol, err := filevol.Open(cfg.Dir, cfg.PageSize, opts...)
 	if err != nil {

@@ -99,6 +99,44 @@ func TestFileBackendRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileBarriersAlwaysCounted: the file volume runs its commit pipeline
+// on every barrier, so with the zero-value GroupCommit a traced run still
+// reports device flushes — as batches of one — while the same operations
+// on the mem backend, which has no durability, report neither counter.
+func TestFileBarriersAlwaysCounted(t *testing.T) {
+	counters := func(cfg lobstore.Config) (fsyncs, acks, batches int64) {
+		t.Helper()
+		db, err := lobstore.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		m := db.EnableMetrics(nil)
+		obj, err := db.NewEOS(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obj.Append(bytes.Repeat([]byte("a"), 40_000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := obj.Insert(10_000, bytes.Repeat([]byte("b"), 5_000)); err != nil {
+			t.Fatal(err)
+		}
+		return m.Counter("vol.fsyncs"), m.Counter("vol.groupcommit.acks"), m.Counter("vol.groupcommit.batches")
+	}
+
+	fsyncs, acks, batches := counters(fileConfig(t.TempDir()))
+	if fsyncs == 0 || batches == 0 {
+		t.Fatalf("file backend: vol.fsyncs = %d, vol.groupcommit.batches = %d, want both > 0", fsyncs, batches)
+	}
+	if acks != batches {
+		t.Fatalf("file backend, GroupCommit off: %d acks over %d batches, want batches of one", acks, batches)
+	}
+	if fsyncs, acks, batches := counters(testConfig()); fsyncs != 0 || acks != 0 || batches != 0 {
+		t.Fatalf("mem backend counted flushes: vol.fsyncs = %d, acks = %d, batches = %d", fsyncs, acks, batches)
+	}
+}
+
 // TestFileBackendSaveImageRejected: images snapshot the memory backend;
 // a durable database is its own persistent representation.
 func TestFileBackendSaveImageRejected(t *testing.T) {
@@ -174,11 +212,11 @@ func TestFileCrashMatrix(t *testing.T) {
 
 	// The whole matrix runs three times: once with the paper's
 	// one-write-per-page write-back, once with the elevator scheduler, and
-	// once through the commit pipeline (group commit + async write-back) —
-	// the cuts then land between a commit group's data writes and its
-	// shared fsync. Recovery always reopens with every mode OFF, so the
-	// on-mode legs also prove the modes agree on the durable state: same
-	// recovered bytes, same fsck.
+	// once with group commit (groups of up to 4) — the cuts then land
+	// between a commit group's data writes and its shared fsync. Recovery
+	// always reopens with every mode OFF, so the on-mode legs also prove
+	// the modes agree on the durable state: same recovered bytes, same
+	// fsck.
 	modes := []struct {
 		name     string
 		coalesce bool
@@ -195,7 +233,6 @@ func TestFileCrashMatrix(t *testing.T) {
 					cfg.Coalesce = mode.coalesce
 					if mode.pipeline {
 						cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: 4}
-						cfg.AsyncWriteback = true
 					}
 					db, err := lobstore.Open(cfg)
 					if err != nil {
@@ -234,7 +271,6 @@ func TestFileCrashMatrix(t *testing.T) {
 						cfg.Coalesce = mode.coalesce
 						if mode.pipeline {
 							cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: 4}
-							cfg.AsyncWriteback = true
 						}
 						db, err := lobstore.Open(cfg)
 						if err != nil {
@@ -336,9 +372,9 @@ func TestOpenWriteKillReopen(t *testing.T) {
 		return
 	}
 	// The child writes with and without the elevator scheduler, and once
-	// through the commit pipeline (group commit + async write-back); the
-	// parent always recovers with every mode off, so the on-mode legs
-	// double as cross-mode checks on the durable state.
+	// with group commit on; the parent always recovers with every mode
+	// off, so the on-mode legs double as cross-mode checks on the durable
+	// state.
 	for _, mode := range []struct {
 		name     string
 		coalesce string
@@ -435,7 +471,6 @@ func killChildMain(t *testing.T) {
 	cfg.Coalesce = os.Getenv("LOBSTORE_KILL_COALESCE") != ""
 	if os.Getenv("LOBSTORE_KILL_PIPELINE") != "" {
 		cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: 4}
-		cfg.AsyncWriteback = true
 	}
 	db, err := lobstore.Open(cfg)
 	if err != nil {

@@ -24,7 +24,6 @@ package buffer
 
 import (
 	"lobstore/internal/disk"
-	"lobstore/internal/iosched"
 	"lobstore/internal/obs"
 )
 
@@ -32,7 +31,7 @@ import (
 // from their (possibly scattered) frames into the scratch buffer, written
 // with a single I/O call, and marked clean. Every page of the run must be
 // resident and dirty.
-func (p *Pool) flushPlanned(r iosched.Run) error {
+func (p *Pool) flushPlanned(r run) error {
 	if r.Pages == 1 {
 		i := p.index[r.Addr]
 		if err := p.d.Write(r.Addr, 1, p.data(i)); err != nil {
@@ -90,7 +89,7 @@ func (p *Pool) flushRunAround(addr disk.Addr) error {
 		lo = lo.Add(-1)
 		n++
 	}
-	return p.flushPlanned(iosched.Run{Addr: lo, Pages: n})
+	return p.flushPlanned(run{Addr: lo, Pages: n})
 }
 
 // evictWindow clears the frame window chosen by scanWindow in elevator
@@ -104,7 +103,7 @@ func (p *Pool) evictWindow(start, npages int) error {
 			p.flushAddrs = append(p.flushAddrs, p.frames[i].addr)
 		}
 	}
-	iosched.SortAddrs(p.flushAddrs)
+	sortAddrs(p.flushAddrs)
 	for _, a := range p.flushAddrs {
 		if err := p.evictAddr(a); err != nil {
 			return err
@@ -118,12 +117,6 @@ func (p *Pool) evictWindow(start, npages int) error {
 // protocol (sticky) is written back in ascending-address coalesced runs,
 // so the barrier syncs a few large sequential writes instead of leaving
 // the backlog to later one-page evictions. A no-op with coalescing off.
-//
-// The pool stays deterministic and single-threaded; when the file
-// backend's async write-back is on, these writes merely enqueue to its
-// background writer, and the barrier that follows fences that queue
-// (filevol's pipeline) before syncing — so writes-before-commit ordering
-// is exactly as in the synchronous path.
 func (p *Pool) FlushBarrier() error {
 	if !p.coalesce {
 		return nil
@@ -138,7 +131,7 @@ func (p *Pool) FlushBarrier() error {
 	if len(p.flushAddrs) == 0 {
 		return nil
 	}
-	p.flushRuns = iosched.Plan(p.flushAddrs, p.maxRun, p.flushRuns[:0])
+	p.flushRuns = plan(p.flushAddrs, p.maxRun, p.flushRuns[:0])
 	for _, r := range p.flushRuns {
 		if err := p.flushPlanned(r); err != nil {
 			return err

@@ -1,4 +1,4 @@
-package iosched
+package buffer
 
 import (
 	"math/rand"
@@ -15,17 +15,17 @@ func addr(area disk.AreaID, page disk.PageID) disk.Addr {
 func TestPlanMergesAdjacentPages(t *testing.T) {
 	addrs := []disk.Addr{
 		addr(0, 7), addr(0, 5), addr(0, 6), // one 3-page run, given shuffled
-		addr(0, 9),                         // gap: own run
-		addr(1, 10), addr(1, 11),           // different area: never merges with area 0
+		addr(0, 9),               // gap: own run
+		addr(1, 10), addr(1, 11), // different area: never merges with area 0
 	}
-	got := Plan(addrs, 4, nil)
-	want := []Run{
+	got := plan(addrs, 4, nil)
+	want := []run{
 		{addr(0, 5), 3},
 		{addr(0, 9), 1},
 		{addr(1, 10), 2},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Plan = %v, want %v", got, want)
+		t.Fatalf("plan = %v, want %v", got, want)
 	}
 }
 
@@ -34,23 +34,23 @@ func TestPlanCapsRunLength(t *testing.T) {
 	for p := 0; p < 10; p++ {
 		addrs = append(addrs, addr(0, disk.PageID(p)))
 	}
-	got := Plan(addrs, 4, nil)
-	want := []Run{{addr(0, 0), 4}, {addr(0, 4), 4}, {addr(0, 8), 2}}
+	got := plan(addrs, 4, nil)
+	want := []run{{addr(0, 0), 4}, {addr(0, 4), 4}, {addr(0, 8), 2}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Plan = %v, want %v", got, want)
+		t.Fatalf("plan = %v, want %v", got, want)
 	}
-	unbounded := Plan(addrs, 0, nil)
+	unbounded := plan(addrs, 0, nil)
 	if len(unbounded) != 1 || unbounded[0].Pages != 10 {
-		t.Fatalf("unbounded Plan = %v, want one 10-page run", unbounded)
+		t.Fatalf("unbounded plan = %v, want one 10-page run", unbounded)
 	}
 }
 
 func TestPlanAppendsToDst(t *testing.T) {
-	dst := []Run{{addr(3, 1), 2}}
-	got := Plan([]disk.Addr{addr(0, 0)}, 4, dst)
-	want := []Run{{addr(3, 1), 2}, {addr(0, 0), 1}}
+	dst := []run{{addr(3, 1), 2}}
+	got := plan([]disk.Addr{addr(0, 0)}, 4, dst)
+	want := []run{{addr(3, 1), 2}, {addr(0, 0), 1}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Plan = %v, want %v", got, want)
+		t.Fatalf("plan = %v, want %v", got, want)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestPlanCoversEveryAddrOnce(t *testing.T) {
 			}
 		}
 		maxRun := 1 + rng.Intn(5)
-		runs := Plan(addrs, maxRun, nil)
+		runs := plan(addrs, maxRun, nil)
 		var prevEnd disk.Addr
 		covered := 0
 		for i, r := range runs {
@@ -86,7 +86,7 @@ func TestPlanCoversEveryAddrOnce(t *testing.T) {
 				}
 				covered++
 			}
-			prevEnd = r.End()
+			prevEnd = r.Addr.Add(r.Pages)
 		}
 		if covered != len(addrs) {
 			t.Fatalf("runs cover %d pages, input has %d", covered, len(addrs))

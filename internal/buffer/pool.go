@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"lobstore/internal/disk"
-	"lobstore/internal/iosched"
 	"lobstore/internal/obs"
 )
 
@@ -61,7 +60,7 @@ type Pool struct {
 	coalesce   bool
 	wbuf       []byte // run assembly buffer, maxRun pages
 	flushAddrs []disk.Addr
-	flushRuns  []iosched.Run
+	flushRuns  []run
 	raNext     map[disk.AreaID]disk.PageID // per-area expected next page
 
 	hits   int64
@@ -618,7 +617,7 @@ func (p *Pool) FlushAll() error {
 		}
 	}
 	if p.coalesce {
-		p.flushRuns = iosched.Plan(p.flushAddrs, p.maxRun, p.flushRuns[:0])
+		p.flushRuns = plan(p.flushAddrs, p.maxRun, p.flushRuns[:0])
 		for _, r := range p.flushRuns {
 			if err := p.flushPlanned(r); err != nil {
 				return err
@@ -626,7 +625,7 @@ func (p *Pool) FlushAll() error {
 		}
 		return nil
 	}
-	iosched.SortAddrs(p.flushAddrs)
+	sortAddrs(p.flushAddrs)
 	for _, a := range p.flushAddrs {
 		if err := p.FlushPage(a); err != nil {
 			return err

@@ -301,7 +301,9 @@ func (d *Disk) Write(addr Addr, npages int, src []byte) error {
 // returns only when every previously written byte is stable, subject to
 // the volume's sync policy. On the in-memory backend it is free, costs no
 // simulated time and emits no events, so mem-backend cost output is
-// unaffected by the barrier placement.
+// unaffected by the barrier placement. On the file backend a traced
+// barrier that flushed emits vol.groupcommit and vol.fsync events, batches
+// of one when group commit is off.
 func (d *Disk) Barrier() error {
 	sync := d.vol.Sync
 	if d.syncInterpose != nil {
@@ -322,8 +324,8 @@ func (d *Disk) Barrier() error {
 		if !d.obs.Enabled() {
 			return nil
 		}
-		// Counters only move when the volume's commit pipeline is on, so
-		// off-mode traces carry no pipeline events and stay byte-identical.
+		// Policies "always" and "never" flush nothing at a barrier and so
+		// emit nothing here.
 		if delta.Batches > 0 {
 			d.obs.Emit(obs.Event{
 				Kind:  obs.KindVolGroupCommit,

@@ -47,11 +47,11 @@ type Volume interface {
 }
 
 // SyncStats are the cumulative durability counters of a backend that runs
-// a commit pipeline (group commit and/or async write-back). All counters
-// stay zero while the pipeline is disabled, which is how the Disk
-// decorator knows to emit no pipeline events on off-mode runs.
+// a commit pipeline — the file volume, on every barrier. The in-memory
+// volume does not implement GroupSyncer, which is how mem-backend traces
+// carry no pipeline events.
 type SyncStats struct {
-	// Barriers counts Sync calls acknowledged through the pipeline.
+	// Barriers counts Sync calls that entered the pipeline.
 	Barriers int64
 	// Batches counts device-flush passes: each acknowledged one or more
 	// barriers. Barriers/Batches is the amortization factor.

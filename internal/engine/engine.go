@@ -284,48 +284,6 @@ func (e *Engine) Do(ctx context.Context, root disk.Addr, write bool, f func() er
 	return err
 }
 
-// ReadObject is Do(shared) + run fused for the one operation the server
-// hot path repeats millions of times: a positional read. Fusing matters
-// because Do/run take the operation as a closure, and a closure over
-// (obj, off, dst) is a heap allocation per request; here the operation is
-// inlined so the steady-state engine read performs zero allocations —
-// the OpState comes from the pool and nothing else escapes. Semantics
-// are identical to Do(ctx, root, false, read): same FIFO object lock,
-// same lock-wait telemetry, same private OpState under storemu.
-func (e *Engine) ReadObject(ctx context.Context, root disk.Addr, obj core.Object, off int64, dst []byte) error {
-	l := e.locks.get(root)
-	start := obs.WallNow()
-	if err := l.acquire(ctx, false); err != nil {
-		e.addMetric("engine.lock.cancels", 1)
-		return err
-	}
-	if m := e.metrics.Load(); m != nil {
-		m.ObserveLockWait(obs.WallNow() - start)
-	}
-	e.addMetric("engine.lock.acquires", 1)
-
-	e.storemu.Lock()
-	if e.closed {
-		e.storemu.Unlock()
-		l.release(false)
-		return fmt.Errorf("engine: read: %w", ErrClosed)
-	}
-	e.inflight++
-	op := opPool.Get().(*store.OpState)
-	prev := e.st.SwapOp(op)
-	err := obj.Read(off, dst)
-	e.st.SwapOp(prev)
-	op.Reset()
-	opPool.Put(op)
-	e.inflight--
-	if e.inflight == 0 {
-		e.quiet.Broadcast()
-	}
-	e.storemu.Unlock()
-	l.release(false)
-	return err
-}
-
 // OpenSnapshot freezes the current committed image of the object rooted
 // at root. The frozen root page is captured under storemu — at which
 // instant §3.3 guarantees a complete committed pre- or post-image exists

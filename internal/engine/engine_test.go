@@ -8,6 +8,7 @@ import (
 
 	"lobstore/internal/core"
 	"lobstore/internal/disk"
+	"lobstore/internal/eos"
 	"lobstore/internal/store"
 )
 
@@ -211,5 +212,37 @@ func TestClosedEngineRejectsWork(t *testing.T) {
 	opener := func(*store.Store, disk.Addr) (core.Object, error) { return nil, nil }
 	if _, err := e.OpenSnapshot(disk.Addr{}, opener); !errors.Is(err, ErrClosed) {
 		t.Fatalf("OpenSnapshot after Close: got %v, want ErrClosed", err)
+	}
+}
+
+// Handle.Read is the serving hot path: on a warmed store it must not
+// allocate. It hands Do a closure over (off, dst), which is free only
+// while escape analysis keeps that closure on the stack: a Do or run that
+// stores f or forwards it to a goroutine fails here.
+func TestHandleReadZeroAllocs(t *testing.T) {
+	e := newEngine(t, 128)
+	var h *Handle
+	if err := e.Run(func() error {
+		o, err := eos.New(e.st, eos.Config{Threshold: 4})
+		if err != nil {
+			return err
+		}
+		h = e.WrapObject(o, o.Root())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Append(make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 4<<10)
+	read := func() {
+		if err := h.Read(8<<10, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // warm the pool, the lock table and the OpState pool
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("Handle.Read allocates %.0f times per op, want 0", allocs)
 	}
 }

@@ -49,11 +49,11 @@ func (h *Handle) Append(data []byte) error {
 	return h.write(func() error { return h.inner.Append(data) })
 }
 
-// Read routes through the engine's fused read fast path: identical
-// locking and isolation to every other operation, but no per-request
-// closure or OpState allocation. See Engine.ReadObject.
+// Read is the serving hot path and must not allocate: Do and run only
+// call their func argument, so the closure stays on the stack
+// (TestHandleReadZeroAllocs).
 func (h *Handle) Read(off int64, dst []byte) error {
-	return h.e.ReadObject(h.ctx, h.root, h.inner, off, dst)
+	return h.read(func() error { return h.inner.Read(off, dst) })
 }
 
 func (h *Handle) Replace(off int64, data []byte) error {

@@ -8,10 +8,11 @@ import (
 
 // LatchedVolume serializes access to a volume implementation that is not
 // safe for concurrent use — the in-memory backend, whose WriteRun
-// reallocates area storage. The file backend does not need it: its commit
-// pipeline guards the bookkeeping and pread/pwrite of every operation with
-// its own mutex — and drops that mutex for a barrier's device flush, so a
-// reader's pread never waits out a committer's fdatasync.
+// reallocates area storage. The file backend does not need it: a
+// filevol.Volume is safe for concurrent use, guarding the bookkeeping and
+// pread/pwrite of every operation with its own mutex — and dropping that
+// mutex for a barrier's device flush, so a reader's pread never waits out
+// a committer's fdatasync.
 //
 // Sync is deliberately passed through unlatched. The volume latch ranks
 // last in the engine lock order and must never be held across a

@@ -26,6 +26,12 @@
 // dropped the dirty pages and marked them clean, so the retry "succeeds"
 // over lost writes — and only a reopen, which re-reads what the device
 // really holds and runs recovery, may trust the files again.
+//
+// Concurrency. A Volume is safe for concurrent use: one mutex covers its
+// bookkeeping and the pread/pwrite calls, and every barrier runs the
+// commit pipeline of groupcommit.go, which drops that mutex for the
+// device flush. The package starts no goroutine; it is exempt from the
+// determinism analyzer only because it uses sync.
 package filevol
 
 import (
@@ -34,6 +40,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"lobstore/internal/disk"
@@ -83,10 +90,10 @@ func ParsePolicy(s string) (Policy, error) {
 // the barrier that fired it and by every operation after it.
 var ErrPowerCut = errors.New("filevol: simulated power cut")
 
-// ErrVolumeFailed is the terminal error of a failed device flush (or a
-// failed queued write the flush had to fence): returned, wrapping the
-// cause, by the barrier that hit it — every member of its commit group —
-// and by every operation after it. Reopening the volume recovers.
+// ErrVolumeFailed is the terminal error of a failed device flush:
+// returned, wrapping the cause, by the barrier that hit it — every member
+// of its commit group — and by every operation after it. Reopening the
+// volume recovers.
 var ErrVolumeFailed = errors.New("filevol: volume failed")
 
 // ErrReadOnly is returned by writes on a volume opened read-only.
@@ -95,38 +102,37 @@ var ErrReadOnly = errors.New("filevol: volume is read-only")
 var _ disk.Volume = (*Volume)(nil)
 var _ disk.GroupSyncer = (*Volume)(nil)
 
-// Volume is a file-backed disk.Volume. Without the commit pipeline it is
-// not safe for concurrent use (the single-threaded simulation path, kept
-// lock-free); WithGroupCommit or WithAsyncWriteback enable the pipeline,
-// whose mutex makes every method safe for concurrent callers. The mutex
-// covers bookkeeping and the pread/pwrite calls, never a barrier's device
-// flush.
+// Volume is a file-backed disk.Volume, safe for concurrent use.
 type Volume struct {
 	dir      string
 	pageSize int
 	policy   Policy
 	readOnly bool
-	areas    []*areaFile
+	gc       GroupCommit
 
-	// pipe is the opt-in commit pipeline (group commit, async
-	// write-back); nil keeps the original lock-free single-threaded
-	// behavior byte-for-byte.
-	pipe *pipeline
+	// flushHook, when set, runs before each flush's fdatasyncs (for a
+	// barrier's flush, outside mu); its error stands in for the device's.
+	// Testing aid.
+	flushHook func() error
+
+	// mu guards everything below. It covers bookkeeping and the
+	// pread/pwrite calls, never a barrier's device flush.
+	mu    sync.Mutex
+	areas []*areaFile
 
 	// fault is nil while the volume is healthy; ErrPowerCut after an
 	// injected cut, a wrapped ErrVolumeFailed after a failed flush. Once
 	// set it is returned by every operation.
 	fault error
 
-	// flushHook, when set, runs before each flush's fdatasyncs (for a
-	// barrier's flush, outside the pipeline mutex); its error stands in
-	// for the device's. Testing aid.
-	flushHook func() error
+	cur      *commitGroup // forming group; nil when none
+	flushing bool         // a barrier's flush is in flight with mu dropped
+	turn     sync.Cond    // on mu; broadcast when flushing falls
+	stats    disk.SyncStats
 
 	// crash-injection state (nil / disabled in production use)
-	log      *crashLog
-	barriers int64 // Sync calls so far
-	failAt   int64 // barrier number that power-cuts; 0 = disarmed
+	log    *crashLog
+	failAt int64 // barrier number that power-cuts; 0 = disarmed
 }
 
 type areaFile struct {
@@ -155,7 +161,7 @@ func WithCrashLog() Option {
 }
 
 // WithFlushHook runs fn before the fdatasyncs of every flush — outside the
-// pipeline mutex for a barrier's flush — and treats a non-nil result as
+// volume mutex for a barrier's flush — and treats a non-nil result as
 // the device's failure. Testing aid: a blocking fn holds a flush open, a
 // failing one injects an fsync error.
 func WithFlushHook(fn func() error) Option {
@@ -184,6 +190,7 @@ func Open(dir string, pageSize int, opts ...Option) (*Volume, error) {
 		return nil, fmt.Errorf("filevol: page size %d must be positive", pageSize)
 	}
 	v := &Volume{dir: dir, pageSize: pageSize}
+	v.turn.L = &v.mu
 	for _, o := range opts {
 		o(v)
 	}
@@ -191,9 +198,6 @@ func Open(dir string, pageSize int, opts ...Option) (*Volume, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("filevol: creating %s: %w", dir, err)
 		}
-	}
-	if v.pipe != nil {
-		v.pipe.start()
 	}
 	return v, nil
 }
@@ -219,6 +223,8 @@ func (v *Volume) AddArea(npages int) (disk.AreaID, error) {
 	if npages <= 0 {
 		return 0, fmt.Errorf("filevol: area size %d must be positive", npages)
 	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if len(v.areas) >= 255 {
 		return 0, fmt.Errorf("filevol: too many areas")
 	}
@@ -247,6 +253,8 @@ func (v *Volume) AddArea(npages int) (disk.AreaID, error) {
 
 // AreaPages returns the capacity of area id in pages.
 func (v *Volume) AreaPages(id disk.AreaID) (int, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	a, err := v.area(id)
 	if err != nil {
 		return 0, err
@@ -254,6 +262,7 @@ func (v *Volume) AreaPages(id disk.AreaID) (int, error) {
 	return a.npages, nil
 }
 
+// area looks up one area. v.mu held.
 func (v *Volume) area(id disk.AreaID) (*areaFile, error) {
 	if int(id) >= len(v.areas) {
 		return nil, fmt.Errorf("filevol: unknown area %d", id)
@@ -263,20 +272,9 @@ func (v *Volume) area(id disk.AreaID) (*areaFile, error) {
 
 // ReadRun preads npages adjacent pages into dst; the range past the file's
 // current end reads as zeros (pages never written hold no bytes yet).
-// Through the pipeline the read first fences the async writer, so queued
-// writes are always observed.
 func (v *Volume) ReadRun(addr disk.Addr, npages int, dst []byte) error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-		if err := v.pipe.fence(); err != nil {
-			return err
-		}
-	}
-	return v.readRun(addr, npages, dst)
-}
-
-func (v *Volume) readRun(addr disk.Addr, npages int, dst []byte) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.fault != nil {
 		return v.fault
 	}
@@ -296,19 +294,12 @@ func (v *Volume) readRun(addr disk.Addr, npages int, dst []byte) error {
 
 // WriteRun pwrites npages adjacent pages from src, growing the file as
 // needed. Under SyncAlways the write is forced to stable storage before
-// returning. With the async writer enabled (and a policy other than
-// SyncAlways) the pwrite is queued to the background writer instead and
-// the next barrier, read or close fences it; the crash-log pre-image is
-// still captured here, synchronously, which is safe because the first
-// write of a page per crash-log generation can never have a queued write
-// of the same page ahead of it (the generation began with a fence).
-// A write landing while another caller's barrier flush is in flight
-// re-dirties its area and is covered by the next flush, not that one.
+// returning. A write landing while another caller's barrier flush is in
+// flight re-dirties its area and is covered by the next flush, not that
+// one.
 func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.fault != nil {
 		return v.fault
 	}
@@ -326,11 +317,7 @@ func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
 			return err
 		}
 	}
-	if v.pipe != nil && v.pipe.aw != nil && v.policy != SyncAlways {
-		if err := v.pipe.aw.enqueue(a.f, off, src[:n]); err != nil {
-			return err
-		}
-	} else if _, err := a.f.WriteAt(src[:n], off); err != nil {
+	if _, err := a.f.WriteAt(src[:n], off); err != nil {
 		return fmt.Errorf("filevol: write %v: %w", addr, err)
 	}
 	if end := off + int64(n); end > a.size {
@@ -351,14 +338,9 @@ func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
 
 // Grow extends area id's backing file to cover at least npages pages
 // without writing data (the extension is a sparse hole reading as zeros).
-// No fence is needed under the pipeline: Grow only ever extends (the
-// cached size already covers queued writes), and a concurrent extending
-// pwrite composes with Truncate-to-larger in either order.
 func (v *Volume) Grow(id disk.AreaID, npages int) error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.fault != nil {
 		return v.fault
 	}
@@ -384,35 +366,10 @@ func (v *Volume) Grow(id disk.AreaID, npages int) error {
 	return nil
 }
 
-// Sync is the durability barrier. Under SyncCommit it fsyncs every file
-// written since the last barrier; under SyncAlways and SyncNever it is a
-// no-op (the former is already durable, the latter opts out). An armed
-// power cut fires here: un-synced writes are rolled back and the volume
-// dies. Through the pipeline the barrier fences the async writer first
-// and may be acknowledged by another caller's flush (group commit) — but
-// only by one sealed after this call arrived.
-func (v *Volume) Sync() error {
-	if v.pipe != nil {
-		return v.pipe.barrier(v)
-	}
-	if v.fault != nil {
-		return v.fault
-	}
-	v.barriers++
-	if v.failAt > 0 && v.barriers >= v.failAt {
-		return v.powerCut()
-	}
-	if v.policy != SyncCommit {
-		return nil
-	}
-	_, err := v.syncDirty()
-	return err
-}
-
-// A flush is three steps — sealDirty, syncFiles, flushDone — so that the
-// pipeline can run the middle one, the only slow one, with its mutex
-// dropped. syncDirty is the three back to back, for callers that own the
-// volume outright.
+// A flush is three steps — sealDirty, syncFiles, flushDone — so that a
+// barrier can run the middle one, the only slow one, with the mutex
+// dropped. syncDirty is the three back to back under the mutex, for the
+// clean-shutdown flushes.
 
 // sealDirty snapshots and clears the dirty-area set and seals the crash
 // log's generation: what was written up to here is the coming flush's to
@@ -476,38 +433,24 @@ func (v *Volume) fail(err error) error {
 // SyncAll forces everything to stable storage regardless of policy: the
 // clean-shutdown flush used by Close and checkpoints.
 func (v *Volume) SyncAll() error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-		v.pipe.awaitTurn()
-	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.awaitTurn()
 	if v.fault != nil {
 		return v.fault
-	}
-	if err := v.pipe.fence(); err != nil {
-		return v.fail(err)
 	}
 	_, err := v.syncDirty()
 	return err
 }
 
 // Close flushes (policy-independently, unless the volume is faulted or
-// read-only), stops the pipeline, and closes every area file.
+// read-only) and closes every area file.
 func (v *Volume) Close() error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-		v.pipe.awaitTurn()
-	}
-	flush := v.fault == nil && !v.readOnly
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.awaitTurn()
 	var errs []error
-	if flush {
-		errs = append(errs, v.pipe.fence())
-	}
-	if v.pipe != nil {
-		v.pipe.stop()
-	}
-	if flush {
+	if v.fault == nil && !v.readOnly {
 		_, err := v.syncDirty()
 		errs = append(errs, err)
 	}
@@ -525,38 +468,27 @@ func (v *Volume) Close() error {
 
 // Barriers returns the number of Sync calls so far. The crash matrix uses
 // it to enumerate an operation's barrier points.
-func (v *Volume) Barriers() int64 {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-	}
-	return v.barriers
-}
+func (v *Volume) Barriers() int64 { return v.SyncStats().Barriers }
 
 // SyncStats returns the commit pipeline's cumulative durability counters.
-// It is all zeros — and the disk decorator therefore emits no pipeline
-// events — when the pipeline is disabled, keeping off-mode traces
-// byte-identical.
+// They move on every barrier, so a traced file-backed run always carries
+// vol.groupcommit / vol.fsync events (batches of one without group
+// commit); only the in-memory backend, which has no SyncStats, emits none.
 func (v *Volume) SyncStats() disk.SyncStats {
-	if v.pipe == nil {
-		return disk.SyncStats{}
-	}
-	v.pipe.mu.Lock()
-	defer v.pipe.mu.Unlock()
-	return v.pipe.stats
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.stats
 }
 
 // FailAtBarrier arms a power cut at the n-th Sync call from now (n ≥ 1):
 // that barrier rolls back all un-synced writes and returns ErrPowerCut, as
 // does every operation afterwards. Requires the crash log. n ≤ 0 disarms.
-// Through the pipeline a cut landing on any member of a commit group dooms
-// the whole group: the cut falls between the group's data writes and its
-// shared fsync, so no member is acknowledged.
+// A cut landing on any member of a commit group dooms the whole group: the
+// cut falls between the group's data writes and its shared fsync, so no
+// member is acknowledged.
 func (v *Volume) FailAtBarrier(n int64) error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.log == nil {
 		return fmt.Errorf("filevol: power-cut injection needs WithCrashLog")
 	}
@@ -564,12 +496,12 @@ func (v *Volume) FailAtBarrier(n int64) error {
 		v.failAt = 0
 		return nil
 	}
-	v.failAt = v.barriers + n
+	v.failAt = v.stats.Barriers + n
 	return nil
 }
 
 // powerCut rolls back every un-synced write and marks the volume dead.
-// Under the pipeline the caller holds the flush turn: no flush is in flight.
+// v.mu held and no flush in flight.
 func (v *Volume) powerCut() error {
 	if err := v.log.rollback(v); err != nil {
 		return fmt.Errorf("filevol: power cut rollback: %w", err)

@@ -63,71 +63,86 @@ func TestGroupCommitBatches(t *testing.T) {
 // every policy × injected flush latency, asserting exactly-once
 // acknowledgement — every Sync call is counted once in Barriers, every
 // commit-policy barrier is covered by some batch, and no barrier returns
-// before its flush.
+// before its flush. The "default" leg opens the volume with no group-commit
+// option: the same pipeline at groups of one, safe for the same callers.
 func TestGroupCommitHammer(t *testing.T) {
-	policies := []Policy{SyncAlways, SyncCommit, SyncNever}
-	for _, pol := range policies {
+	const maxBatch = 8
+	legs := []struct {
+		name string
+		opts []Option
+		cap  int64
+	}{
+		{"batch-8", []Option{WithGroupCommit(GroupCommit{MaxBatch: maxBatch, MaxDelay: time.Millisecond})}, maxBatch},
+		{"default", nil, 1},
+	}
+	for _, pol := range []Policy{SyncAlways, SyncCommit, SyncNever} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
-			t.Parallel()
-			v := openTest(t, t.TempDir(),
-				WithPolicy(pol),
-				WithGroupCommit(GroupCommit{MaxBatch: 8, MaxDelay: time.Millisecond}),
-				WithAsyncWriteback(),
-				WithSyncDelay(200*time.Microsecond))
-			defer v.Close()
-			if _, err := v.AddArea(256); err != nil {
-				t.Fatalf("AddArea: %v", err)
-			}
+			for _, leg := range legs {
+				leg := leg
+				t.Run(leg.name, func(t *testing.T) {
+					t.Parallel()
+					opts := append([]Option{WithPolicy(pol), WithSyncDelay(200 * time.Microsecond)}, leg.opts...)
+					v := openTest(t, t.TempDir(), opts...)
+					defer v.Close()
+					if _, err := v.AddArea(256); err != nil {
+						t.Fatalf("AddArea: %v", err)
+					}
 
-			const (
-				workers = 16
-				rounds  = 25
-			)
-			var wg sync.WaitGroup
-			errCh := make(chan error, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w)))
-					buf := page(byte(w))
-					for r := 0; r < rounds; r++ {
-						addr := disk.Addr{Page: disk.PageID(w*8 + rng.Intn(8))}
-						if err := v.WriteRun(addr, 1, buf); err != nil {
-							errCh <- err
-							return
+					const (
+						workers = 16
+						rounds  = 25
+					)
+					var wg sync.WaitGroup
+					errCh := make(chan error, workers)
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							rng := rand.New(rand.NewSource(int64(w)))
+							buf := page(byte(w))
+							for r := 0; r < rounds; r++ {
+								addr := disk.Addr{Page: disk.PageID(w*8 + rng.Intn(8))}
+								if err := v.WriteRun(addr, 1, buf); err != nil {
+									errCh <- err
+									return
+								}
+								if err := v.Sync(); err != nil {
+									errCh <- err
+									return
+								}
+							}
+						}(w)
+					}
+					wg.Wait()
+					close(errCh)
+					for err := range errCh {
+						t.Fatalf("worker: %v", err)
+					}
+
+					s := v.SyncStats()
+					if want := int64(workers * rounds); s.Barriers != want {
+						t.Fatalf("Barriers = %d, want %d (lost or double acknowledgement)", s.Barriers, want)
+					}
+					switch {
+					case pol != SyncCommit:
+						// always/never barriers do not flush through the combiner.
+						if s.Batches != 0 || s.Fsyncs != 0 {
+							t.Fatalf("policy %v flushed: %+v", pol, s)
 						}
-						if err := v.Sync(); err != nil {
-							errCh <- err
-							return
+					case leg.cap == 1:
+						if s.Batches != s.Barriers || s.MaxBatch != 1 {
+							t.Fatalf("groups of one: %+v, want Batches == Barriers and MaxBatch 1", s)
+						}
+					default:
+						if s.Batches == 0 || s.Batches > s.Barriers {
+							t.Fatalf("Batches = %d out of range (1..%d)", s.Batches, s.Barriers)
+						}
+						if s.MaxBatch < 1 || s.MaxBatch > leg.cap {
+							t.Fatalf("MaxBatch = %d, want 1..%d", s.MaxBatch, leg.cap)
 						}
 					}
-				}(w)
-			}
-			wg.Wait()
-			close(errCh)
-			for err := range errCh {
-				t.Fatalf("worker: %v", err)
-			}
-
-			s := v.SyncStats()
-			if want := int64(workers * rounds); s.Barriers != want {
-				t.Fatalf("Barriers = %d, want %d (lost or double acknowledgement)", s.Barriers, want)
-			}
-			switch pol {
-			case SyncCommit:
-				if s.Batches == 0 || s.Batches > s.Barriers {
-					t.Fatalf("Batches = %d out of range (1..%d)", s.Batches, s.Barriers)
-				}
-				if s.MaxBatch < 1 || s.MaxBatch > 8 {
-					t.Fatalf("MaxBatch = %d, want 1..8", s.MaxBatch)
-				}
-			default:
-				// always/never barriers do not flush through the combiner.
-				if s.Batches != 0 || s.Fsyncs != 0 {
-					t.Fatalf("policy %v flushed: %+v", pol, s)
-				}
+				})
 			}
 		})
 	}
@@ -207,52 +222,5 @@ func TestGroupCommitDoomedGroup(t *testing.T) {
 		if !bytes.Equal(got, make([]byte, pageSize)) {
 			t.Fatalf("unacknowledged page %d survived the cut", p)
 		}
-	}
-}
-
-// TestAsyncWritebackOrdering pins the flush-fence: reads and barriers must
-// observe every queued write, and a clean Close drains the queue.
-func TestAsyncWritebackOrdering(t *testing.T) {
-	dir := t.TempDir()
-	v := openTest(t, dir, WithPolicy(SyncCommit), WithAsyncWriteback())
-	if _, err := v.AddArea(64); err != nil {
-		t.Fatalf("AddArea: %v", err)
-	}
-
-	want := make([]byte, 0, 8*pageSize)
-	for i := 0; i < 8; i++ {
-		p := page(byte(0x10 + i))
-		want = append(want, p...)
-		if err := v.WriteRun(disk.Addr{Page: disk.PageID(i)}, 1, p); err != nil {
-			t.Fatalf("WriteRun: %v", err)
-		}
-	}
-	// ReadRun fences: it must see all eight queued pages.
-	got := make([]byte, 8*pageSize)
-	if err := v.ReadRun(disk.Addr{Page: 0}, 8, got); err != nil {
-		t.Fatalf("ReadRun: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("read raced the write-back queue")
-	}
-	if err := v.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if err := v.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// The bytes survived the writer shutdown.
-	v2 := openTest(t, dir)
-	defer v2.Close()
-	if _, err := v2.AddArea(64); err != nil {
-		t.Fatalf("reopen AddArea: %v", err)
-	}
-	got2 := make([]byte, 8*pageSize)
-	if err := v2.ReadRun(disk.Addr{Page: 0}, 8, got2); err != nil {
-		t.Fatalf("reopen ReadRun: %v", err)
-	}
-	if !bytes.Equal(got2, want) {
-		t.Fatalf("queued writes lost across Close/Open")
 	}
 }

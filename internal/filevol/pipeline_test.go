@@ -101,7 +101,7 @@ func readPage(t *testing.T, v *Volume, p int) []byte {
 
 // TestFlushInFlightBlocksNobody: while one committer's device flush is
 // held open, another caller's read, write and grow all complete — the
-// pipeline mutex does not cover the flush.
+// volume mutex does not cover the flush.
 func TestFlushInFlightBlocksNobody(t *testing.T) {
 	gate := newFlushGate()
 	v := openTest(t, t.TempDir(),
@@ -206,87 +206,77 @@ func TestGroupFormsBehindFlush(t *testing.T) {
 // at the next barrier must roll them back — to the bytes that flush made
 // durable — while the flush's own writes stay.
 func TestWriteDuringFlushRollsBack(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		name := "sync"
-		if async {
-			name = "async"
+	t.Run("sync", func(t *testing.T) {
+		dir := t.TempDir()
+		gate := newFlushGate()
+		v := openTest(t, dir, WithCrashLog(), WithGroupCommit(GroupCommit{MaxBatch: 4}), WithFlushHook(gate.hook))
+		if _, err := v.AddArea(64); err != nil {
+			t.Fatalf("AddArea: %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			gate := newFlushGate()
-			opts := []Option{WithCrashLog(), WithGroupCommit(GroupCommit{MaxBatch: 4}), WithFlushHook(gate.hook)}
-			if async {
-				opts = append(opts, WithAsyncWriteback())
+		write := func(p int, fill byte) {
+			t.Helper()
+			if err := v.WriteRun(disk.Addr{Page: disk.PageID(p)}, 1, page(fill)); err != nil {
+				t.Fatalf("WriteRun page %d: %v", p, err)
 			}
-			v := openTest(t, dir, opts...)
-			if _, err := v.AddArea(64); err != nil {
-				t.Fatalf("AddArea: %v", err)
-			}
-			write := func(p int, fill byte) {
-				t.Helper()
-				if err := v.WriteRun(disk.Addr{Page: disk.PageID(p)}, 1, page(fill)); err != nil {
-					t.Fatalf("WriteRun page %d: %v", p, err)
-				}
-			}
+		}
 
-			// Flush 1: pages 0 and 1, file 2 pages long.
-			write(0, 0xA0)
-			write(1, 0xB0)
-			if err := v.Sync(); err != nil {
-				t.Fatalf("Sync: %v", err)
-			}
+		// Flush 1: pages 0 and 1, file 2 pages long.
+		write(0, 0xA0)
+		write(1, 0xB0)
+		if err := v.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
 
-			// Flush 2, held open: rewrites page 0, grows the file to 6 pages.
-			write(0, 0xA1)
-			write(5, 0xD0)
-			gate.armed.Store(true)
-			held := make(chan error, 1)
-			go func() { held <- v.Sync() }()
-			gate.awaitFlush(t)
+		// Flush 2, held open: rewrites page 0, grows the file to 6 pages.
+		write(0, 0xA1)
+		write(5, 0xD0)
+		gate.armed.Store(true)
+		held := make(chan error, 1)
+		go func() { held <- v.Sync() }()
+		gate.awaitFlush(t)
 
-			// Mid-flush: page 0 is now in both generations, page 1 only in
-			// the new one, and page 10 grows the file a second time.
-			write(0, 0xA2)
-			write(1, 0xB1)
-			write(10, 0xE0)
+		// Mid-flush: page 0 is now in both generations, page 1 only in
+		// the new one, and page 10 grows the file a second time.
+		write(0, 0xA2)
+		write(1, 0xB1)
+		write(10, 0xE0)
 
-			gate.release <- nil
-			if err := await(t, "held barrier", held); err != nil {
-				t.Fatalf("held Sync: %v", err)
-			}
+		gate.release <- nil
+		if err := await(t, "held barrier", held); err != nil {
+			t.Fatalf("held Sync: %v", err)
+		}
 
-			if err := v.FailAtBarrier(1); err != nil {
-				t.Fatalf("FailAtBarrier: %v", err)
-			}
-			if err := v.Sync(); !errors.Is(err, ErrPowerCut) {
-				t.Fatalf("Sync = %v, want ErrPowerCut", err)
-			}
-			if err := v.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
+		if err := v.FailAtBarrier(1); err != nil {
+			t.Fatalf("FailAtBarrier: %v", err)
+		}
+		if err := v.Sync(); !errors.Is(err, ErrPowerCut) {
+			t.Fatalf("Sync = %v, want ErrPowerCut", err)
+		}
+		if err := v.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 
-			v2 := openTest(t, dir)
-			defer v2.Close()
-			if _, err := v2.AddArea(64); err != nil {
-				t.Fatalf("reopen AddArea: %v", err)
+		v2 := openTest(t, dir)
+		defer v2.Close()
+		if _, err := v2.AddArea(64); err != nil {
+			t.Fatalf("reopen AddArea: %v", err)
+		}
+		for _, c := range []struct {
+			page int
+			fill byte
+		}{{0, 0xA1}, {1, 0xB0}, {5, 0xD0}, {10, 0}} {
+			if got := readPage(t, v2, c.page); !bytes.Equal(got, page(c.fill)) {
+				t.Errorf("page %d holds %#x, want %#x (the last acknowledged barrier's)", c.page, got[0], c.fill)
 			}
-			for _, c := range []struct {
-				page int
-				fill byte
-			}{{0, 0xA1}, {1, 0xB0}, {5, 0xD0}, {10, 0}} {
-				if got := readPage(t, v2, c.page); !bytes.Equal(got, page(c.fill)) {
-					t.Errorf("page %d holds %#x, want %#x (the last acknowledged barrier's)", c.page, got[0], c.fill)
-				}
-			}
-			st, err := os.Stat(filepath.Join(dir, "area-0.lob"))
-			if err != nil {
-				t.Fatalf("Stat: %v", err)
-			}
-			if want := int64(6 * pageSize); st.Size() != want {
-				t.Errorf("file is %d bytes, want %d (the mid-flush growth rolled back, the flushed one kept)", st.Size(), want)
-			}
-		})
-	}
+		}
+		st, err := os.Stat(filepath.Join(dir, "area-0.lob"))
+		if err != nil {
+			t.Fatalf("Stat: %v", err)
+		}
+		if want := int64(6 * pageSize); st.Size() != want {
+			t.Errorf("file is %d bytes, want %d (the mid-flush growth rolled back, the flushed one kept)", st.Size(), want)
+		}
+	})
 }
 
 // TestFsyncFailureIsFailStop: the first failed device flush poisons the
@@ -366,8 +356,8 @@ func TestFsyncFailureIsFailStop(t *testing.T) {
 		afterFailure(t, v, dir, gate)
 	})
 
-	// Batching off (MaxBatch <= 1) is the same code with groups of one;
-	// no pipeline at all is the single-threaded path.
+	// Batching off — MaxBatch <= 1, or no group-commit option at all — is
+	// the same code with groups of one.
 	for _, c := range []struct {
 		name string
 		opts []Option

@@ -107,7 +107,7 @@ const (
 	KindLeafSplit
 	KindLeafMerge
 	KindExtentDouble
-	// Durable volume commit pipeline (group commit / async write-back).
+	// Durable volume commit pipeline (every file-backend barrier).
 	KindVolGroupCommit
 	KindVolFsync
 	numKinds

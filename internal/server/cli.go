@@ -32,9 +32,8 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 		dir       = fs.String("dir", "", "directory of the file-backed database (backend file)")
 		sync      = fs.String("sync", "commit", "file-backend fsync policy: always, commit or never")
 		coalesce  = fs.Bool("coalesce", false, "enable elevator write coalescing and sequential read-ahead")
-		groupMax  = fs.Int("group-commit", 0, "file-backend group commit: max barriers per device flush (0 = off)")
+		groupMax  = fs.Int("group-commit", 16, "file-backend group commit: max barriers per device flush (<= 1 = groups of one)")
 		groupWait = fs.Duration("group-delay", 0, "file-backend group commit: max wait for a batch to fill")
-		asyncWB   = fs.Bool("async-writeback", false, "file-backend: move pwrites onto a background writer")
 		bufPages  = fs.Int("buffer-pages", 0, "buffer pool size in pages (0 = concurrent minimum)")
 		workers   = fs.Int("workers", 0, "request-executing goroutines per connection (0 = default)")
 		chunk     = fs.Int("chunk", 0, "streaming-read frame payload bytes (0 = default 64KiB)")
@@ -47,7 +46,6 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 	cfg.Backend, cfg.Dir, cfg.SyncPolicy = *backend, *dir, *sync
 	cfg.Coalesce = *coalesce
 	cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: *groupMax, MaxDelay: *groupWait}
-	cfg.AsyncWriteback = *asyncWB
 	// The server requires the concurrency engine; the pool floor is the
 	// engine's documented minimum unless the user asks for more.
 	cfg.Concurrent = true

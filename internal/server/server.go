@@ -17,10 +17,9 @@
 //     of chunked RespData frames. Chunk buffers and frame headers come
 //     from sync.Pools, responses are gathered by the connection's writer
 //     goroutine into one writev (net.Buffers) per wakeup, and the
-//     engine's fused read path (engine.ReadObject) runs the positional
-//     read without a closure or OpState allocation — steady state, a
-//     served read performs no per-request heap allocation in this
-//     package.
+//     engine runs the positional read on a pooled OpState — steady
+//     state, a served read performs no per-request heap allocation in
+//     this package.
 //
 //   - Write batching. Mutations run on worker goroutines, so commits
 //     from many connections overlap inside the engine and pile into the

@@ -127,17 +127,13 @@ type Config struct {
 	// (see DB.InjectPowerCut). Testing aid: every write then pays an extra
 	// read to log its pre-image.
 	CrashInjection bool
-	// GroupCommit configures the file backend's barrier combiner: up to
-	// MaxBatch concurrent commit barriers are acknowledged by one device
-	// flush. Zero value = off. Like Coalesce it is a per-opening I/O
-	// scheduling choice, not superblock geometry. Ignored by the mem
-	// backend.
+	// GroupCommit configures the file backend's commit pipeline, which
+	// every durability barrier runs: up to MaxBatch concurrent commit
+	// barriers are acknowledged by one device flush. Zero value = groups
+	// of one, each barrier flushing for itself. Like Coalesce it is a
+	// per-opening I/O scheduling choice, not superblock geometry. Ignored
+	// by the mem backend.
 	GroupCommit GroupCommit
-	// AsyncWriteback moves the file backend's pwrites onto a background
-	// writer goroutine; every durability barrier still fences the queue
-	// first, so §3.3 ordering is unchanged. Off by default; per-opening;
-	// ignored by the mem backend.
-	AsyncWriteback bool
 	// Concurrent serves the database through the concurrency engine
 	// (internal/engine): object handles become safe for concurrent use
 	// behind per-object reader/writer locks, DB accessors are guarded, and
@@ -146,13 +142,11 @@ type Config struct {
 	// every code path, trace and paper table is byte-identical to a build
 	// without the engine; the simulation stays single-threaded and
 	// deterministic. Like Coalesce it is a per-opening choice, not
-	// superblock geometry. On the file backend the commit pipeline is
-	// engaged (at batch size 1 if GroupCommit is off) so the volume is
-	// safe for concurrent committers. Size BufferPages generously: every
-	// committer parked at a durability barrier keeps its dirty pages
-	// sticky (shadow-protected) in the shared pool, so the paper's
-	// 12-frame configuration starves once a handful of commits overlap —
-	// Open enforces BufferPages >= MinConcurrentBufferPages (wrapping
+	// superblock geometry. Size BufferPages generously: every committer
+	// parked at a durability barrier keeps its dirty pages sticky
+	// (shadow-protected) in the shared pool, so the paper's 12-frame
+	// configuration starves once a handful of commits overlap — Open
+	// enforces BufferPages >= MinConcurrentBufferPages (wrapping
 	// ErrConfig) rather than letting FixRun fail mid-commit.
 	Concurrent bool
 }
