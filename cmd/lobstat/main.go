@@ -1,15 +1,18 @@
-// Command lobstat inspects a saved database image: the catalog, each
-// object's size, utilization and physical layout, and overall space use.
+// Command lobstat inspects a file-backed database directory: the catalog,
+// each object's size, utilization and physical layout, and overall space
+// use. It prints what lobstore.Fsck's walk finds and, like it, opens the
+// area files read-only.
 //
 //	lobbench …                 # run experiments
 //	lobctl …                   # drive one object interactively
-//	lobstat db.img             # what is inside this database?
-//	lobstat -v db.img          # include per-segment layout
+//	lobstat dbdir              # what is inside this database?
+//	lobstat -v dbdir           # include per-segment layout
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"lobstore"
@@ -19,7 +22,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-segment layout of every object")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: lobstat [-v] <image-file>")
+		fmt.Fprintln(os.Stderr, "usage: lobstat [-v] <database-dir>")
 		os.Exit(2)
 	}
 	if err := run(flag.Arg(0), *verbose, os.Stdout); err != nil {
@@ -28,54 +31,32 @@ func main() {
 	}
 }
 
-func run(path string, verbose bool, out *os.File) error {
-	db, err := lobstore.OpenFile(path)
+func run(dir string, verbose bool, out io.Writer) error {
+	rep, err := lobstore.Fsck(dir)
 	if err != nil {
 		return err
 	}
-	cfg := db.Config()
-	fmt.Fprintf(out, "database image %s\n", path)
+	cfg := rep.Config
+	fmt.Fprintf(out, "database %s\n", dir)
 	fmt.Fprintf(out, "  page size %d, max segment %d pages, pool %d/%d\n",
 		cfg.PageSize, cfg.MaxSegmentPages, cfg.BufferPages, cfg.MaxBufferedRun)
-
-	infos, err := db.Objects()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  %d cataloged object(s)\n\n", len(infos))
-	var totalBytes, totalPages int64
-	for _, info := range infos {
-		if info.Engine == "records" {
-			rf, err := db.OpenRecordFile(info.Name)
-			if err != nil {
-				return err
-			}
-			_ = rf
-			fmt.Fprintf(out, "%-24s %-10s (record file)\n", info.Name, info.Engine)
+	fmt.Fprintf(out, "  %d cataloged object(s)\n\n", rep.Objects)
+	var totalBytes int64
+	for _, o := range rep.Listing {
+		if o.Engine == "records" {
+			fmt.Fprintf(out, "%-24s %-10s (record file)\n", o.Name, o.Engine)
 			continue
 		}
-		obj, err := db.OpenObject(info.Name)
-		if err != nil {
-			return err
-		}
-		u := obj.Utilization()
-		l, err := lobstore.Inspect(obj)
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "%-24s %-10s %10d bytes  %4d segment(s)  %5.1f%% util  %d index page(s)\n",
-			info.Name, info.Engine, obj.Size(), len(l.Segments), 100*u.Ratio(), l.IndexPages)
-		totalBytes += obj.Size()
-		totalPages += u.DataPages + u.IndexPages
+			o.Name, o.Engine, o.Size, len(o.Layout.Segments), 100*o.Utilization.Ratio(), o.Layout.IndexPages)
+		totalBytes += o.Size
 		if verbose {
-			for i, s := range l.Segments {
+			for i, s := range o.Layout.Segments {
 				fmt.Fprintf(out, "    seg %4d: page %-8d x%-5d %10d bytes\n", i, s.StartPage, s.Pages, s.Bytes)
 			}
 		}
 	}
-	dataPages, metaPages := db.SpaceInUse()
 	fmt.Fprintf(out, "\ntotals: %d object bytes; %d data + %d metadata pages in use\n",
-		totalBytes, dataPages, metaPages)
-	_ = totalPages
+		totalBytes, rep.DataPages, rep.MetaPages)
 	return nil
 }

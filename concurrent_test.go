@@ -72,9 +72,25 @@ func TestSnapshotRequiresConcurrent(t *testing.T) {
 	}
 }
 
+// TestCrashRequiresOffMode pins the other side of the same contract: the
+// simulated crash is the single-threaded profile's tool. On a Concurrent
+// database it would hand back a copy with Config().Concurrent set but no
+// engine, sharing a disk that still carries the original's engine hooks.
+func TestCrashRequiresOffMode(t *testing.T) {
+	db, err := lobstore.Open(concurrentConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Crash(); !errors.Is(err, lobstore.ErrConfig) {
+		t.Fatalf("Crash on a Concurrent database: got %v, want an ErrConfig-wrapped error", err)
+	}
+}
+
 // TestConcurrentFacade drives the public DB surface from many goroutines:
 // writers mutate named objects of all three engines through their
-// handles, snapshot readers freeze and verify images, and observers call
+// handles, snapshot readers freeze and verify images, a record-file client
+// inserts and reads records with long fields, and observers call
 // Now/Stats/Metrics/PoolHitRate the whole time. The test is the facade's
 // -race coverage; correctness of snapshot isolation itself is hammered in
 // internal/engine.
@@ -102,7 +118,17 @@ func TestConcurrentFacade(t *testing.T) {
 
 	const ops = 15
 	var wg sync.WaitGroup
-	errs := make(chan error, 4*len(specs)+1)
+	errs := make(chan error, 4*len(specs)+2)
+
+	// Record-file client: every RecordFile method and every long field
+	// must go through the engine like the named objects beside it.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := recordClient(db, ops); err != nil {
+			errs <- fmt.Errorf("record file: %w", err)
+		}
+	}()
 
 	for name, obj := range objs {
 		name, obj := name, obj
@@ -190,6 +216,56 @@ func TestConcurrentFacade(t *testing.T) {
 	if n := db.Metrics().Counter("engine.snapshot.opens"); n == 0 {
 		t.Fatal("engine.snapshot.opens never bumped in concurrent mode")
 	}
+}
+
+// recordClient creates a record file and n records, each with a long field
+// per engine in turn, reading every record and its long field back.
+func recordClient(db *lobstore.DB, n int) error {
+	rf, err := db.CreateRecordFile("people")
+	if err != nil {
+		return err
+	}
+	if rf, err = db.OpenRecordFile("people"); err != nil {
+		return err
+	}
+	engines := []string{"esm", "starburst", "eos"}
+	for i := 0; i < n; i++ {
+		want := bytes.Repeat([]byte{byte(i)}, 3000)
+		lf, ref, err := rf.NewLongField(lobstore.ObjectSpec{Engine: engines[i%3], LeafPages: 2, Threshold: 2})
+		if err != nil {
+			return err
+		}
+		if err := lf.Append(want); err != nil {
+			return err
+		}
+		rid, err := rf.Insert([]lobstore.Field{lobstore.ShortField([]byte{byte(i)}), {Long: &ref}})
+		if err != nil {
+			return err
+		}
+		fields, err := rf.Read(rid)
+		if err != nil {
+			return err
+		}
+		if lf, err = rf.OpenLongField(*fields[1].Long); err != nil {
+			return err
+		}
+		got := make([]byte, lf.Size())
+		if err := lf.Read(0, got); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("record %d: long field differs from what was appended", i)
+		}
+		if i%2 == 1 {
+			if err := rf.DestroyLongField(ref); err != nil {
+				return err
+			}
+			if err := rf.Delete(rid); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // TestGroupCommitBatchingUnderConcurrency proves the sync interposer does

@@ -1,9 +1,9 @@
 package lobstore_test
 
 import (
-	"bytes"
 	"fmt"
 	"log"
+	"os"
 
 	"lobstore"
 )
@@ -59,10 +59,18 @@ func ExampleDB_Measure() {
 	// 1 call(s), 3 pages, 45ms
 }
 
-// ExampleDB_Create shows named objects: they register in the catalog and
-// survive database images.
+// ExampleDB_Create shows named objects: they register in the catalog, so a
+// file-backed database finds them again when its directory is reopened.
 func ExampleDB_Create() {
-	db, err := lobstore.Open(lobstore.DefaultConfig())
+	dir, err := os.MkdirTemp("", "lobstore-example")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	cfg := lobstore.DefaultConfig()
+	cfg.Backend, cfg.Dir = "file", dir
+
+	db, err := lobstore.Open(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,14 +81,15 @@ func ExampleDB_Create() {
 	if err := obj.Append([]byte("quarterly numbers")); err != nil {
 		log.Fatal(err)
 	}
-	var img bytes.Buffer
-	if err := db.SaveImage(&img); err != nil {
+	if err := db.Close(); err != nil {
 		log.Fatal(err)
 	}
-	db2, err := lobstore.OpenImage(&img)
+
+	db2, err := lobstore.Open(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db2.Close()
 	obj2, err := db2.OpenObject("report")
 	if err != nil {
 		log.Fatal(err)

@@ -1,7 +1,7 @@
 // Persondb: the paper's §2 example, end to end — person records with a
 // short name field and two long fields (picture, voice), each long field
-// stored under the manager that suits it best, the whole database saved to
-// an image file and reopened.
+// stored under the manager that suits it best, in a file-backed database
+// that is closed and reopened.
 //
 //	go run ./examples/persondb
 package main
@@ -11,21 +11,21 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"lobstore"
 )
 
 func main() {
-	db, err := lobstore.Open(lobstore.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	dir, err := os.MkdirTemp("", "persondb")
+	must(err)
+	defer func() { must(os.RemoveAll(dir)) }()
+	cfg := lobstore.DefaultConfig()
+	cfg.Backend, cfg.Dir = "file", dir
+	db, err := lobstore.Open(cfg)
+	must(err)
 
 	people, err := db.CreateRecordFile("people")
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 
 	// §2: "they may apply a compression technique that is appropriate for
 	// pictures in storing the picture attribute, and a different one that
@@ -70,12 +70,11 @@ func main() {
 	fmt.Printf("\nedited %s's voice annotation: %d I/Os, %v\n",
 		fields[0].Inline, stats.Calls(), stats.Time)
 
-	// Persist everything and reopen.
-	path := filepath.Join(os.TempDir(), "persondb.img")
-	must(db.SaveFile(path))
-	fmt.Printf("saved database image to %s\n", path)
+	// Close the database and reopen its directory.
+	must(db.Close())
+	fmt.Printf("closed the database in %s\n", dir)
 
-	db2, err := lobstore.OpenFile(path)
+	db2, err := lobstore.Open(cfg)
 	must(err)
 	people2, err := db2.OpenRecordFile("people")
 	must(err)
@@ -92,7 +91,7 @@ func main() {
 		fmt.Printf("reopened %-14s picture=%d bytes voice=%d bytes ✓\n",
 			fields[0].Inline, pic.Size(), mustSize(people2, *fields[2].Long))
 	}
-	must(os.Remove(path))
+	must(db2.Close())
 }
 
 func mustSize(rf *lobstore.RecordFile, ref lobstore.LongRef) int64 {

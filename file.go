@@ -227,10 +227,7 @@ func (db *DB) Close() error {
 // without closing. After a checkpoint the on-disk files are a complete
 // snapshot; a following power cut loses nothing committed so far.
 func (db *DB) Checkpoint() error {
-	if db.eng != nil {
-		return db.eng.Run(func() error { return commitDurableState(db.st) })
-	}
-	return commitDurableState(db.st)
+	return db.run(func() error { return commitDurableState(db.st) })
 }
 
 // InjectPowerCut arms a simulated power cut at the n-th sync barrier from
@@ -259,8 +256,15 @@ func (db *DB) SyncBarriers() (int64, error) {
 // FsckReport is the result of a consistency check of a file-backed
 // database directory.
 type FsckReport struct {
+	// Config is the geometry recorded in the directory's superblock.
+	Config Config
 	// Objects is the number of cataloged entries scanned.
 	Objects int
+	// Listing describes every cataloged entry, in catalog order.
+	Listing []ObjectReport
+	// DataPages and MetaPages are the pages the on-disk space directories
+	// record as handed out in the data and metadata areas.
+	DataPages, MetaPages int64
 	// ReachablePages counts pages owned by the catalog or some object.
 	ReachablePages int64
 	// AllocatedPages counts pages the on-disk space directories record as
@@ -276,6 +280,15 @@ type FsckReport struct {
 	// corruption under segment-granularity shadowing, where every page has
 	// exactly one owner.
 	DoublyOwned []OwnershipConflict
+}
+
+// ObjectReport is one cataloged entry as fsck found it. A record file
+// (Engine "records") carries only its name.
+type ObjectReport struct {
+	ObjectInfo
+	Size        int64
+	Utilization Utilization
+	Layout      Layout
 }
 
 // PageRange is a run of pages within one database area.
@@ -305,9 +318,10 @@ func (r FsckReport) Clean() bool { return len(r.Leaked) == 0 && len(r.DoublyOwne
 
 // Fsck checks a file-backed database directory read-only: it loads the
 // on-disk space directories as written, walks every object reachable from
-// the catalog, and cross-checks the two views. Nothing is modified — the
-// area files are opened read-only — so it is safe on a directory whose
-// owning process crashed.
+// the catalog, and cross-checks the two views; the report also lists what
+// the walk found (lobstat prints it). Nothing is modified — the area files
+// are opened read-only — so it is safe on a directory whose owning process
+// crashed.
 func Fsck(dir string) (_ *FsckReport, err error) {
 	cfg, err := readSuper(dir)
 	if err != nil {
@@ -338,7 +352,7 @@ func Fsck(dir string) (_ *FsckReport, err error) {
 		return nil, fmt.Errorf("lobstore: fsck: %w", err)
 	}
 
-	rep := &FsckReport{}
+	rep := &FsckReport{Config: cfg, DataPages: st.Leaf.UsedBlocks(), MetaPages: st.Meta.UsedBlocks()}
 	owners := make(map[disk.Addr]string)
 	err = scanReachable(st, cat, func(owner string, a disk.Addr, pages int) error {
 		for i := 0; i < pages; i++ {
@@ -366,6 +380,20 @@ func Fsck(dir string) (_ *FsckReport, err error) {
 		return nil, err
 	}
 	rep.Objects = len(entries)
+	for _, e := range entries {
+		o := ObjectReport{ObjectInfo: ObjectInfo{Name: e.Name, Engine: e.Kind.String()}}
+		if e.Kind != catalog.KindRecord {
+			m, err := openManaged(st, e.Kind, e.Root)
+			if err != nil {
+				return nil, fmt.Errorf("lobstore: fsck: object %q: %w", e.Name, err)
+			}
+			o.Size, o.Utilization = m.Size(), m.Utilization()
+			if o.Layout, err = Inspect(m); err != nil {
+				return nil, fmt.Errorf("lobstore: fsck: object %q: %w", e.Name, err)
+			}
+		}
+		rep.Listing = append(rep.Listing, o)
+	}
 
 	allocated := append(st.Meta.AllocatedRanges(), st.Leaf.AllocatedRanges()...)
 	collectLeaks(rep, allocated, owners)

@@ -137,19 +137,6 @@ func TestFileBarriersAlwaysCounted(t *testing.T) {
 	}
 }
 
-// TestFileBackendSaveImageRejected: images snapshot the memory backend;
-// a durable database is its own persistent representation.
-func TestFileBackendSaveImageRejected(t *testing.T) {
-	db, err := lobstore.Open(fileConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.SaveImage(&bytes.Buffer{}); err == nil {
-		t.Fatal("SaveImage on a file-backed database must fail")
-	}
-}
-
 // TestFileCrashMatrix is the durable counterpart of TestCrashSweep: for
 // every engine and every update operation, inject a power cut at each
 // successive sync barrier of the operation — dropping all writes since the

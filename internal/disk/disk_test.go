@@ -197,3 +197,28 @@ func TestLazyGrowthReadsBeyondWrites(t *testing.T) {
 		t.Fatalf("lazy growth read: %d %d %d", dst[0], dst[ps], dst[2*ps])
 	}
 }
+
+func TestFailAfterInjection(t *testing.T) {
+	d := newDisk(t)
+	a, _ := d.AddArea(10)
+	buf := make([]byte, d.PageSize())
+	d.FailAfter(2, errTest)
+	if err := d.Read(Addr{Area: a, Page: 0}, 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(Addr{Area: a, Page: 0}, 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Read(Addr{Area: a, Page: 0}, 1, buf); err == nil {
+		t.Fatal("third I/O did not fail")
+	}
+	if err := d.Write(Addr{Area: a, Page: 0}, 1, buf); err == nil {
+		t.Fatal("fault injection did not persist")
+	}
+	d.FailAfter(-1, nil)
+	if err := d.Read(Addr{Area: a, Page: 0}, 1, buf); err != nil {
+		t.Fatalf("disarmed injection still fails: %v", err)
+	}
+}
+
+var errTest = bytes.ErrTooLarge // any sentinel

@@ -18,11 +18,7 @@ import (
 	"fmt"
 
 	"lobstore/internal/catalog"
-	"lobstore/internal/core"
 	"lobstore/internal/disk"
-	"lobstore/internal/eos"
-	"lobstore/internal/esm"
-	"lobstore/internal/starburst"
 	"lobstore/internal/store"
 )
 
@@ -53,16 +49,6 @@ func ShortField(data []byte) Field { return Field{Inline: data} }
 
 // LongField builds a long field attribute from a descriptor.
 func LongField(ref LongRef) Field { return Field{Long: &ref} }
-
-// LongSpec selects the manager for a new long field.
-type LongSpec struct {
-	Kind catalog.Kind
-	// LeafPages configures ESM, Threshold configures EOS,
-	// MaxSegmentPages bounds Starburst and EOS growth (0 = maximum).
-	LeafPages       int
-	Threshold       int
-	MaxSegmentPages int
-}
 
 // File is a heap file of records over slotted metadata pages.
 type File struct {
@@ -320,9 +306,8 @@ func (f *File) Read(rid RID) ([]Field, error) {
 	return decodeRecord(h.Data[off : off+n])
 }
 
-// Delete tombstones a record. Long fields referenced by the record are not
-// destroyed automatically; use DestroyLong on the refs first if the record
-// owns them.
+// Delete tombstones a record. Long fields referenced by the record are
+// separate objects and are not destroyed with it.
 func (f *File) Delete(rid RID) error {
 	addr := disk.Addr{Area: f.first.Area, Page: rid.Page}
 	h, err := f.st.Pool.FixPage(addr)
@@ -337,56 +322,6 @@ func (f *File) Delete(rid RID) error {
 	setSlot(h.Data, int(rid.Slot), deadOff, 0)
 	h.Unfix(true)
 	return f.st.Pool.FlushPage(addr)
-}
-
-// --- long field helpers --------------------------------------------------
-
-// CreateLong materializes a new long field under the requested manager and
-// returns both the live object and the descriptor to embed in a record.
-func (f *File) CreateLong(spec LongSpec) (core.Object, LongRef, error) {
-	switch spec.Kind {
-	case catalog.KindESM:
-		o, err := esm.New(f.st, esm.Config{LeafPages: spec.LeafPages})
-		if err != nil {
-			return nil, LongRef{}, err
-		}
-		return o, LongRef{Kind: spec.Kind, Root: o.Root()}, nil
-	case catalog.KindStarburst:
-		o, err := starburst.New(f.st, starburst.Config{MaxSegmentPages: spec.MaxSegmentPages})
-		if err != nil {
-			return nil, LongRef{}, err
-		}
-		return o, LongRef{Kind: spec.Kind, Root: o.Root()}, nil
-	case catalog.KindEOS:
-		o, err := eos.New(f.st, eos.Config{Threshold: spec.Threshold, MaxSegmentPages: spec.MaxSegmentPages})
-		if err != nil {
-			return nil, LongRef{}, err
-		}
-		return o, LongRef{Kind: spec.Kind, Root: o.Root()}, nil
-	}
-	return nil, LongRef{}, fmt.Errorf("record: unknown long field kind %v", spec.Kind)
-}
-
-// OpenLong reattaches to a long field from its descriptor.
-func (f *File) OpenLong(ref LongRef) (core.Object, error) {
-	switch ref.Kind {
-	case catalog.KindESM:
-		return esm.Open(f.st, ref.Root)
-	case catalog.KindStarburst:
-		return starburst.Open(f.st, ref.Root)
-	case catalog.KindEOS:
-		return eos.Open(f.st, ref.Root)
-	}
-	return nil, fmt.Errorf("record: unknown long field kind %v", ref.Kind)
-}
-
-// DestroyLong releases the storage behind a long field descriptor.
-func (f *File) DestroyLong(ref LongRef) error {
-	o, err := f.OpenLong(ref)
-	if err != nil {
-		return err
-	}
-	return o.Destroy()
 }
 
 // MarkPages reports every chain page of the file for shadow recovery. The

@@ -7,7 +7,9 @@ import (
 	"testing/quick"
 
 	"lobstore/internal/catalog"
+	"lobstore/internal/eos"
 	"lobstore/internal/lobtest"
+	"lobstore/internal/starburst"
 	"lobstore/internal/store"
 )
 
@@ -76,25 +78,27 @@ func TestOversizeRecordRejected(t *testing.T) {
 // "because it is easier to treat the long fields within the same object in
 // different ways".
 func TestPersonExample(t *testing.T) {
-	f, _ := newFile(t)
+	f, st := newFile(t)
 
 	picture := bytes.Repeat([]byte{0xAB}, 300_000) // a "compressed image"
 	voice := bytes.Repeat([]byte{0xCD}, 150_000)   // an "audio clip"
 
-	picObj, picRef, err := f.CreateLong(LongSpec{Kind: catalog.KindEOS, Threshold: 16})
+	picObj, err := eos.New(st, eos.Config{Threshold: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := picObj.Append(picture); err != nil {
 		t.Fatal(err)
 	}
-	voiceObj, voiceRef, err := f.CreateLong(LongSpec{Kind: catalog.KindStarburst})
+	picRef := LongRef{Kind: catalog.KindEOS, Root: picObj.Root()}
+	voiceObj, err := starburst.New(st, starburst.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := voiceObj.Append(voice); err != nil {
 		t.Fatal(err)
 	}
+	voiceRef := LongRef{Kind: catalog.KindStarburst, Root: voiceObj.Root()}
 
 	rid, err := f.Insert([]Field{
 		ShortField([]byte("Ada Lovelace")),
@@ -113,7 +117,10 @@ func TestPersonExample(t *testing.T) {
 	if string(fields[0].Inline) != "Ada Lovelace" {
 		t.Fatal("name corrupted")
 	}
-	pic, err := f.OpenLong(*fields[1].Long)
+	if *fields[1].Long != picRef || *fields[2].Long != voiceRef {
+		t.Fatalf("descriptors changed: %+v %+v", *fields[1].Long, *fields[2].Long)
+	}
+	pic, err := eos.Open(st, fields[1].Long.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +131,7 @@ func TestPersonExample(t *testing.T) {
 	if !bytes.Equal(got, picture) {
 		t.Fatal("picture corrupted")
 	}
-	vo, err := f.OpenLong(*fields[2].Long)
+	vo, err := starburst.Open(st, fields[2].Long.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +143,11 @@ func TestPersonExample(t *testing.T) {
 		t.Fatal("voice corrupted")
 	}
 
-	// Destroy the long fields through their descriptors.
-	if err := f.DestroyLong(*fields[1].Long); err != nil {
+	// Destroy the long fields reopened from their descriptors.
+	if err := pic.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.DestroyLong(*fields[2].Long); err != nil {
+	if err := vo.Destroy(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -263,11 +270,5 @@ func TestFieldValidation(t *testing.T) {
 	bad := Field{Inline: []byte{1}, Long: &LongRef{}}
 	if _, err := f.Insert([]Field{bad}); err == nil {
 		t.Fatal("field that is both short and long accepted")
-	}
-	if _, _, err := f.CreateLong(LongSpec{Kind: catalog.Kind(99)}); err == nil {
-		t.Fatal("unknown long kind accepted")
-	}
-	if _, err := f.OpenLong(LongRef{Kind: catalog.Kind(99)}); err == nil {
-		t.Fatal("unknown long ref kind accepted")
 	}
 }

@@ -5,71 +5,6 @@ import (
 	"testing"
 )
 
-func TestStoreImageRoundTrip(t *testing.T) {
-	st := newStore(t)
-	seg, data := fillSegment(t, st, 8)
-	meta, err := st.AllocMetaPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := st.Pool.FixNew(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Data[0] = 0x7E
-	h.Unfix(true)
-
-	var img bytes.Buffer
-	if err := st.SaveImage(&img); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := OpenImage(bytes.NewReader(img.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Data pages survive.
-	got := make([]byte, len(data))
-	if err := st2.ReadRange(Segment{Addr: seg.Addr, Pages: seg.Pages}, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("segment data lost across store image")
-	}
-	// The dirty meta page was flushed by SaveImage.
-	h2, err := st2.Pool.FixPage(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.Data[0] != 0x7E {
-		t.Fatal("meta page content lost")
-	}
-	h2.Unfix(false)
-	// Allocation state survives: the old segment is still allocated and
-	// freeable, and new allocations do not collide with it.
-	if st2.Leaf.UsedBlocks() != int64(seg.Pages) {
-		t.Fatalf("reopened leaf allocator sees %d blocks, want %d", st2.Leaf.UsedBlocks(), seg.Pages)
-	}
-	seg2, err := st2.AllocSegment(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg2.Addr.Page >= seg.Addr.Page && seg2.Addr.Page < seg.Addr.Page+8 {
-		t.Fatalf("new segment %v collides with reopened %v", seg2, seg)
-	}
-	if err := st2.FreeSegment(Segment{Addr: seg.Addr, Pages: seg.Pages}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOpenImageRejectsGarbage(t *testing.T) {
-	if _, err := OpenImage(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := OpenImage(bytes.NewReader(bytes.Repeat([]byte{0xAA}, 64))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
 func TestShadowEpochDefersFrees(t *testing.T) {
 	st := newStore(t)
 	seg, _ := fillSegment(t, st, 4)

@@ -208,13 +208,7 @@ func Open(p Params) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: leaf allocator: %w", err)
 	}
-	// Metadata allocations are single pages; a smaller space order keeps
-	// the meta area compact.
-	metaOrder := p.MaxOrder
-	if metaOrder > 10 {
-		metaOrder = 10
-	}
-	meta, err := buddy.New(d, metaArea, buddy.WithMaxOrder(metaOrder))
+	meta, err := buddy.New(d, metaArea, metaOrder(p.MaxOrder))
 	if err != nil {
 		return nil, fmt.Errorf("store: meta allocator: %w", err)
 	}

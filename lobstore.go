@@ -334,8 +334,8 @@ func openMem(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The catalog claims the first metadata page so a saved image can be
-	// reopened without a bootstrap pointer.
+	// The catalog claims the first metadata page, so reopening and
+	// recovery find it without a bootstrap pointer.
 	cat, err := catalog.New(st)
 	if err != nil {
 		return nil, err
@@ -353,55 +353,53 @@ func openMem(cfg Config) (*DB, error) {
 // Config returns the configuration the database was opened with.
 func (db *DB) Config() Config { return db.cfg }
 
-// wrapNew builds an object through construct. In concurrent mode the
-// construction runs as an engine operation and the result is wrapped in a
-// handle that locks the object per call; off mode calls construct
-// directly, leaving the deterministic path untouched.
-func (db *DB) wrapNew(construct func() (core.Object, disk.Addr, error)) (Object, error) {
-	if db.eng == nil {
-		obj, _, err := construct()
-		if err != nil {
-			return nil, err
-		}
-		return obj, nil
+// run executes f against the store: as one engine operation under the
+// store mutex when the engine is on, directly otherwise — so off mode stays
+// the deterministic single-threaded path, closure and all.
+func (db *DB) run(f func() error) error {
+	if db.eng != nil {
+		return db.eng.Run(f)
 	}
-	var (
-		obj  core.Object
-		root disk.Addr
-	)
-	err := db.eng.Run(func() error {
-		var err error
-		obj, root, err = construct()
+	return f()
+}
+
+// view is run for accessors that perform no operation and cannot fail.
+func (db *DB) view(f func()) {
+	if db.eng != nil {
+		db.eng.View(f)
+		return
+	}
+	f()
+}
+
+// object produces an object through produce, a manager constructor or
+// opener, under run. With the engine on the result is wrapped in a handle
+// that locks the object, keyed by its root, per call.
+func (db *DB) object(produce func() (managed, error)) (Object, error) {
+	var m managed
+	err := db.run(func() (err error) {
+		m, err = produce()
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return db.eng.WrapObject(obj, root), nil
+	if db.eng != nil {
+		return db.eng.WrapObject(m, m.Root()), nil
+	}
+	return m, nil
 }
 
 // NewESM creates an ESM large object with the given fixed leaf size in
 // pages (the paper evaluates 1, 4, 16 and 64).
 func (db *DB) NewESM(leafPages int) (Object, error) {
-	return db.wrapNew(func() (core.Object, disk.Addr, error) {
-		o, err := esm.New(db.st, esm.Config{LeafPages: leafPages})
-		if err != nil {
-			return nil, disk.Addr{}, err
-		}
-		return o, o.Root(), nil
-	})
+	return db.NewESMOpts(ESMOptions{LeafPages: leafPages})
 }
 
 // NewESMBasic creates an ESM object using the basic (even-split) insert
 // algorithm instead of the improved one — the paper's §3.4 ablation.
 func (db *DB) NewESMBasic(leafPages int) (Object, error) {
-	return db.wrapNew(func() (core.Object, disk.Addr, error) {
-		o, err := esm.New(db.st, esm.Config{LeafPages: leafPages, Insert: esm.Basic})
-		if err != nil {
-			return nil, disk.Addr{}, err
-		}
-		return o, o.Root(), nil
-	})
+	return db.NewESMOpts(ESMOptions{LeafPages: leafPages, BasicInsert: true})
 }
 
 // ESMOptions configures ablation variants of the ESM structure.
@@ -424,122 +422,72 @@ func (db *DB) NewESMOpts(o ESMOptions) (Object, error) {
 	if o.BasicInsert {
 		cfg.Insert = esm.Basic
 	}
-	return db.wrapNew(func() (core.Object, disk.Addr, error) {
-		obj, err := esm.New(db.st, cfg)
-		if err != nil {
-			return nil, disk.Addr{}, err
-		}
-		return obj, obj.Root(), nil
-	})
+	return db.object(func() (managed, error) { return esm.New(db.st, cfg) })
 }
 
 // NewStarburst creates a Starburst long field. maxSegmentPages caps the
 // doubling growth pattern (0 selects the allocator maximum).
 func (db *DB) NewStarburst(maxSegmentPages int) (Object, error) {
-	return db.wrapNew(func() (core.Object, disk.Addr, error) {
-		o, err := starburst.New(db.st, starburst.Config{MaxSegmentPages: maxSegmentPages})
-		if err != nil {
-			return nil, disk.Addr{}, err
-		}
-		return o, o.Root(), nil
-	})
+	return db.NewStarburstKnownSize(maxSegmentPages, 0)
 }
 
 // NewStarburstKnownSize creates a Starburst long field whose eventual size
 // is declared up front, so maximal segments are used from the start (§2.2).
 func (db *DB) NewStarburstKnownSize(maxSegmentPages int, knownSize int64) (Object, error) {
-	return db.wrapNew(func() (core.Object, disk.Addr, error) {
-		o, err := starburst.New(db.st, starburst.Config{
-			MaxSegmentPages: maxSegmentPages,
-			KnownSize:       knownSize,
-		})
-		if err != nil {
-			return nil, disk.Addr{}, err
-		}
-		return o, o.Root(), nil
-	})
+	cfg := starburst.Config{MaxSegmentPages: maxSegmentPages, KnownSize: knownSize}
+	return db.object(func() (managed, error) { return starburst.New(db.st, cfg) })
 }
 
 // NewEOS creates an EOS large object with the given segment size threshold
 // in pages (the paper evaluates 1, 4, 16 and 64).
 func (db *DB) NewEOS(threshold int) (Object, error) {
-	return db.wrapNew(func() (core.Object, disk.Addr, error) {
-		o, err := eos.New(db.st, eos.Config{Threshold: threshold})
-		if err != nil {
-			return nil, disk.Addr{}, err
-		}
-		return o, o.Root(), nil
-	})
+	return db.NewEOSMaxSeg(threshold, 0)
 }
 
 // NewEOSMaxSeg creates an EOS object with an explicit maximum segment size.
 func (db *DB) NewEOSMaxSeg(threshold, maxSegmentPages int) (Object, error) {
-	return db.wrapNew(func() (core.Object, disk.Addr, error) {
-		o, err := eos.New(db.st, eos.Config{Threshold: threshold, MaxSegmentPages: maxSegmentPages})
-		if err != nil {
-			return nil, disk.Addr{}, err
-		}
-		return o, o.Root(), nil
-	})
+	cfg := eos.Config{Threshold: threshold, MaxSegmentPages: maxSegmentPages}
+	return db.object(func() (managed, error) { return eos.New(db.st, cfg) })
 }
 
 // Now returns the simulated time spent on I/O so far. In concurrent mode
 // the read is serialized with in-flight operations; in off mode the
 // database is single-threaded by contract, so the unguarded read is
 // exact.
-func (db *DB) Now() time.Duration {
-	if db.eng != nil {
-		var now time.Duration
-		db.eng.View(func() { now = db.st.Clock.Now().Std() })
-		return now
-	}
-	return db.st.Clock.Now().Std()
+func (db *DB) Now() (now time.Duration) {
+	db.view(func() { now = db.st.Clock.Now().Std() })
+	return now
 }
 
 // Stats returns cumulative disk activity. Safe while operations are in
 // flight in concurrent mode (the counters are read under the engine's
 // store mutex); in off mode the caller is the only thread by contract.
 func (db *DB) Stats() Stats {
-	if db.eng != nil {
-		var st sim.Stats
-		db.eng.View(func() { st = db.st.Disk.Stats() })
-		return fromSim(st)
-	}
-	return fromSim(db.st.Disk.Stats())
+	var st sim.Stats
+	db.view(func() { st = db.st.Disk.Stats() })
+	return fromSim(st)
 }
 
 // Measure runs f and returns the disk activity it caused. In concurrent
 // mode the delta also includes whatever other clients did while f ran —
 // per-client attribution needs a quiesced database.
 func (db *DB) Measure(f func() error) (Stats, error) {
-	if db.eng != nil {
-		before := db.Stats()
-		err := f()
-		return db.Stats().Sub(before), err
-	}
-	st, err := db.st.MeasureOp(f)
-	return fromSim(st), err
+	before := db.Stats()
+	err := f()
+	return db.Stats().Sub(before), err
 }
 
 // PoolHitRate returns buffer pool hits and misses so far.
 func (db *DB) PoolHitRate() (hits, misses int64) {
-	if db.eng != nil {
-		db.eng.View(func() { hits, misses = db.st.Pool.HitRate() })
-		return hits, misses
-	}
-	return db.st.Pool.HitRate()
+	db.view(func() { hits, misses = db.st.Pool.HitRate() })
+	return hits, misses
 }
 
 // SpaceInUse reports the allocated page counts of the data and metadata
 // areas.
 func (db *DB) SpaceInUse() (dataPages, metaPages int64) {
-	if db.eng != nil {
-		db.eng.View(func() {
-			dataPages, metaPages = db.st.Leaf.UsedBlocks(), db.st.Meta.UsedBlocks()
-		})
-		return dataPages, metaPages
-	}
-	return db.st.Leaf.UsedBlocks(), db.st.Meta.UsedBlocks()
+	db.view(func() { dataPages, metaPages = db.st.Leaf.UsedBlocks(), db.st.Meta.UsedBlocks() })
+	return dataPages, metaPages
 }
 
 // Metrics is an aggregating event sink: per-operation counters plus
@@ -636,13 +584,9 @@ func (db *DB) AttachTimeSeries(ts *TimeSeries) {
 
 // LeafFragmentation snapshots the free-list state of the data area's buddy
 // allocator. It inspects only the cached directory — no I/O is charged.
-func (db *DB) LeafFragmentation() Fragmentation {
-	if db.eng != nil {
-		var f Fragmentation
-		db.eng.View(func() { f = db.st.Leaf.Fragmentation() })
-		return f
-	}
-	return db.st.Leaf.Fragmentation()
+func (db *DB) LeafFragmentation() (f Fragmentation) {
+	db.view(func() { f = db.st.Leaf.Fragmentation() })
+	return f
 }
 
 // InjectIOFailure arms disk fault injection: the next calls I/O operations

@@ -3,8 +3,6 @@ package lobstore
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
 
 	"lobstore/internal/catalog"
 	"lobstore/internal/core"
@@ -35,133 +33,109 @@ type ObjectInfo struct {
 	Engine string
 }
 
+// managed is what every manager's New and Open return: a large object that
+// can also enumerate the pages it owns and name its durable root.
+type managed interface {
+	core.Object
+	core.PageMarker
+	Root() disk.Addr
+}
+
+// managers is the one place that knows the three storage structures: a
+// catalog kind (whose String is the ObjectSpec engine name) maps to the
+// manager's constructor and opener. Named objects, long fields, snapshots,
+// recovery and fsck all go through it.
+var managers = map[catalog.Kind]struct {
+	create func(*store.Store, ObjectSpec) (managed, error)
+	open   func(*store.Store, disk.Addr) (managed, error)
+}{
+	catalog.KindESM: {
+		create: func(st *store.Store, s ObjectSpec) (managed, error) {
+			return esm.New(st, esm.Config{LeafPages: s.LeafPages})
+		},
+		open: func(st *store.Store, root disk.Addr) (managed, error) { return esm.Open(st, root) },
+	},
+	catalog.KindStarburst: {
+		create: func(st *store.Store, s ObjectSpec) (managed, error) {
+			return starburst.New(st, starburst.Config{MaxSegmentPages: s.MaxSegmentPages})
+		},
+		open: func(st *store.Store, root disk.Addr) (managed, error) { return starburst.Open(st, root) },
+	},
+	catalog.KindEOS: {
+		create: func(st *store.Store, s ObjectSpec) (managed, error) {
+			return eos.New(st, eos.Config{Threshold: s.Threshold, MaxSegmentPages: s.MaxSegmentPages})
+		},
+		open: func(st *store.Store, root disk.Addr) (managed, error) { return eos.Open(st, root) },
+	},
+}
+
+// createManaged builds a new object under the manager spec.Engine names.
+func createManaged(st *store.Store, spec ObjectSpec) (managed, catalog.Kind, error) {
+	for kind, mgr := range managers {
+		if kind.String() == spec.Engine {
+			m, err := mgr.create(st, spec)
+			return m, kind, err
+		}
+	}
+	return nil, 0, fmt.Errorf("lobstore: unknown engine %q (esm, starburst, eos)", spec.Engine)
+}
+
+// openManaged reattaches to the object of the given kind rooted at root.
+func openManaged(st *store.Store, kind catalog.Kind, root disk.Addr) (managed, error) {
+	mgr, ok := managers[kind]
+	if !ok {
+		return nil, fmt.Errorf("unknown kind %v of the object at %v", kind, root)
+	}
+	return mgr.open(st, root)
+}
+
 // Create makes a new named large object. Named objects are registered in
-// the database catalog and survive SaveImage/OpenImage.
+// the database catalog, so a file-backed database finds them again when it
+// is reopened.
 func (db *DB) Create(name string, spec ObjectSpec) (Object, error) {
-	if db.eng == nil {
-		obj, _, err := db.createRaw(name, spec)
+	return db.object(func() (managed, error) {
+		m, kind, err := createManaged(db.st, spec)
 		if err != nil {
 			return nil, err
 		}
-		return obj, nil
-	}
-	var (
-		obj  core.Object
-		root disk.Addr
-	)
-	err := db.eng.Run(func() error {
-		var err error
-		obj, root, err = db.createRaw(name, spec)
-		return err
+		if err := db.cat.Put(catalog.Entry{Name: name, Kind: kind, Root: m.Root()}); err != nil {
+			// Roll the object back so a name clash leaks no space. A failed
+			// rollback leaks pages: report it alongside the primary error.
+			if derr := m.Destroy(); derr != nil {
+				return nil, errors.Join(err, fmt.Errorf("lobstore: rollback of %q failed: %w", name, derr))
+			}
+			return nil, err
+		}
+		return m, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return db.eng.WrapObject(obj, root), nil
-}
-
-// createRaw is Create against the bare store; in concurrent mode it runs
-// inside an engine operation.
-func (db *DB) createRaw(name string, spec ObjectSpec) (core.Object, disk.Addr, error) {
-	var (
-		obj  core.Object
-		kind catalog.Kind
-		root disk.Addr
-		err  error
-	)
-	switch spec.Engine {
-	case "esm":
-		var o *esm.Object
-		o, err = esm.New(db.st, esm.Config{LeafPages: spec.LeafPages})
-		if err == nil {
-			obj, kind, root = o, catalog.KindESM, o.Root()
-		}
-	case "starburst":
-		var o *starburst.Object
-		o, err = starburst.New(db.st, starburst.Config{MaxSegmentPages: spec.MaxSegmentPages})
-		if err == nil {
-			obj, kind, root = o, catalog.KindStarburst, o.Root()
-		}
-	case "eos":
-		var o *eos.Object
-		o, err = eos.New(db.st, eos.Config{Threshold: spec.Threshold, MaxSegmentPages: spec.MaxSegmentPages})
-		if err == nil {
-			obj, kind, root = o, catalog.KindEOS, o.Root()
-		}
-	default:
-		err = fmt.Errorf("lobstore: unknown engine %q (esm, starburst, eos)", spec.Engine)
-	}
-	if err != nil {
-		return nil, disk.Addr{}, err
-	}
-	if err := db.cat.Put(catalog.Entry{Name: name, Kind: kind, Root: root}); err != nil {
-		// Roll the object back so a name clash leaks no space. A failed
-		// rollback leaks pages: report it alongside the primary error.
-		if derr := obj.Destroy(); derr != nil {
-			return nil, disk.Addr{}, errors.Join(err, fmt.Errorf("lobstore: rollback of %q failed: %w", name, derr))
-		}
-		return nil, disk.Addr{}, err
-	}
-	return obj, root, nil
 }
 
 // OpenObject reattaches to a named object created earlier (possibly in a
-// previous session of a saved database image).
+// previous session of a file-backed database).
 func (db *DB) OpenObject(name string) (Object, error) {
-	if db.eng == nil {
-		obj, _, err := db.openRaw(name)
-		if err != nil {
-			return nil, err
-		}
-		return obj, nil
+	return db.object(func() (managed, error) { return db.openRaw(name) })
+}
+
+// lookup finds a named object's catalog entry against the bare store.
+func (db *DB) lookup(name string) (catalog.Entry, error) {
+	e, ok, err := db.cat.Get(name)
+	if err == nil && !ok {
+		err = fmt.Errorf("lobstore: %w: no object named %q", ErrNotExist, name)
 	}
-	var (
-		obj  core.Object
-		root disk.Addr
-	)
-	err := db.eng.Run(func() error {
-		var err error
-		obj, root, err = db.openRaw(name)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return db.eng.WrapObject(obj, root), nil
+	return e, err
 }
 
 // openRaw reattaches to a cataloged object against the bare store.
-func (db *DB) openRaw(name string) (core.Object, disk.Addr, error) {
-	e, ok, err := db.cat.Get(name)
+func (db *DB) openRaw(name string) (managed, error) {
+	e, err := db.lookup(name)
 	if err != nil {
-		return nil, disk.Addr{}, err
+		return nil, err
 	}
-	if !ok {
-		return nil, disk.Addr{}, fmt.Errorf("lobstore: %w: no object named %q", ErrNotExist, name)
-	}
-	open, err := openerFor(e.Kind)
+	m, err := openManaged(db.st, e.Kind, e.Root)
 	if err != nil {
-		return nil, disk.Addr{}, fmt.Errorf("lobstore: object %q: %w", name, err)
+		return nil, fmt.Errorf("lobstore: object %q: %w", name, err)
 	}
-	obj, err := open(db.st, e.Root)
-	if err != nil {
-		return nil, disk.Addr{}, err
-	}
-	return obj, e.Root, nil
-}
-
-// openerFor maps a catalog kind to its manager's Open function, in the
-// shape snapshot stripes need to reopen a frozen image.
-func openerFor(k catalog.Kind) (engine.Opener, error) {
-	switch k {
-	case catalog.KindESM:
-		return func(st *store.Store, root disk.Addr) (core.Object, error) { return esm.Open(st, root) }, nil
-	case catalog.KindStarburst:
-		return func(st *store.Store, root disk.Addr) (core.Object, error) { return starburst.Open(st, root) }, nil
-	case catalog.KindEOS:
-		return func(st *store.Store, root disk.Addr) (core.Object, error) { return eos.Open(st, root) }, nil
-	}
-	return nil, fmt.Errorf("unknown kind %v", k)
+	return m, nil
 }
 
 // Snapshot opens a read-only view of a named object frozen at its current
@@ -172,26 +146,21 @@ func (db *DB) Snapshot(name string) (*Snapshot, error) {
 	if db.eng == nil {
 		return nil, fmt.Errorf("lobstore: snapshots require Config.Concurrent")
 	}
-	var (
-		e  catalog.Entry
-		ok bool
-	)
-	err := db.eng.Run(func() error {
-		var err error
-		e, ok, err = db.cat.Get(name)
+	var e catalog.Entry
+	err := db.run(func() (err error) {
+		e, err = db.lookup(name)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	mgr, ok := managers[e.Kind]
 	if !ok {
-		return nil, fmt.Errorf("lobstore: %w: no object named %q", ErrNotExist, name)
+		return nil, fmt.Errorf("lobstore: object %q: unknown kind %v", name, e.Kind)
 	}
-	open, err := openerFor(e.Kind)
-	if err != nil {
-		return nil, fmt.Errorf("lobstore: object %q: %w", name, err)
-	}
-	return db.eng.OpenSnapshot(e.Root, open)
+	return db.eng.OpenSnapshot(e.Root, func(st *store.Store, root disk.Addr) (core.Object, error) {
+		return mgr.open(st, root)
+	})
 }
 
 // Snapshot is a frozen read-only view of one object; see DB.Snapshot.
@@ -199,111 +168,35 @@ type Snapshot = engine.Snapshot
 
 // Drop destroys a named object and removes it from the catalog.
 func (db *DB) Drop(name string) error {
-	if db.eng != nil {
-		return db.eng.Run(func() error { return db.dropRaw(name) })
-	}
-	return db.dropRaw(name)
-}
-
-func (db *DB) dropRaw(name string) error {
-	obj, _, err := db.openRaw(name)
-	if err != nil {
-		return err
-	}
-	if err := obj.Destroy(); err != nil {
-		return err
-	}
-	return db.cat.Delete(name)
+	return db.run(func() error {
+		obj, err := db.openRaw(name)
+		if err != nil {
+			return err
+		}
+		if err := obj.Destroy(); err != nil {
+			return err
+		}
+		return db.cat.Delete(name)
+	})
 }
 
 // Objects lists the cataloged objects.
-func (db *DB) Objects() ([]ObjectInfo, error) {
-	if db.eng != nil {
-		var out []ObjectInfo
-		err := db.eng.Run(func() error {
-			var err error
-			out, err = db.objectsRaw()
+func (db *DB) Objects() (out []ObjectInfo, err error) {
+	err = db.run(func() error {
+		entries, err := db.cat.List()
+		if err != nil {
 			return err
-		})
-		return out, err
-	}
-	return db.objectsRaw()
-}
-
-func (db *DB) objectsRaw() ([]ObjectInfo, error) {
-	entries, err := db.cat.List()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ObjectInfo, len(entries))
-	for i, e := range entries {
-		out[i] = ObjectInfo{Name: e.Name, Engine: e.Kind.String()}
-	}
-	return out, nil
-}
-
-// SaveImage persists the whole database — data, allocation state and
-// catalog — to w. Objects should be Closed first so growth-pattern slack is
-// trimmed. Reopen with OpenImage.
-func (db *DB) SaveImage(w io.Writer) error {
-	if db.eng != nil {
-		return db.eng.Run(func() error { return db.st.SaveImage(w) })
-	}
-	return db.st.SaveImage(w)
-}
-
-// SaveFile persists the database image to a file.
-func (db *DB) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	return errors.Join(db.SaveImage(f), f.Close())
-}
-
-// OpenImage reopens a database saved with SaveImage. The simulated clock
-// starts at zero; the catalog and all named objects are available again.
-func OpenImage(r io.Reader) (*DB, error) {
-	st, err := store.OpenImage(r)
-	if err != nil {
-		return nil, err
-	}
-	cat, err := catalog.Open(st, catalogAddr())
-	if err != nil {
-		return nil, fmt.Errorf("lobstore: image has no catalog: %w", err)
-	}
-	return &DB{st: st, cfg: configFromStore(st), cat: cat}, nil
-}
-
-// OpenFile reopens a database image from a file.
-func OpenFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	db, err := OpenImage(f)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		return nil, cerr
-	}
-	return db, err
+		}
+		out = make([]ObjectInfo, len(entries))
+		for i, e := range entries {
+			out[i] = ObjectInfo{Name: e.Name, Engine: e.Kind.String()}
+		}
+		return nil
+	})
+	return out, err
 }
 
 // catalogAddr is the fixed location of the first catalog page: the first
 // page the metadata allocator hands out in a fresh database (page 0 is the
 // buddy space directory).
 func catalogAddr() disk.Addr { return disk.Addr{Area: 0, Page: 1} }
-
-// configFromStore reconstructs the public configuration of a reopened
-// database.
-func configFromStore(st *store.Store) Config {
-	m := st.Disk.Model()
-	return Config{
-		PageSize:        m.PageSize,
-		SeekTime:        m.SeekTime.Std(),
-		TransferPerKB:   m.TransferPerKB.Std(),
-		BufferPages:     st.Pool.Frames(),
-		MaxBufferedRun:  st.Pool.MaxRun(),
-		MaxSegmentPages: st.MaxSegmentPages(),
-		Materialize:     true,
-	}
-}

@@ -2,17 +2,17 @@ package lobstore_test
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"lobstore"
 )
 
 // TestImageRoundTrip exercises the full persistence stack: named objects
-// under all three managers, a database image save, a reopen, and byte-exact
-// reads plus further updates in the reopened database.
+// under all three managers in a file-backed database, a close, a reopen,
+// and byte-exact reads plus further updates in the reopened database.
 func TestImageRoundTrip(t *testing.T) {
-	db, err := lobstore.Open(testConfig())
+	cfg := fileConfig(t.TempDir())
+	db, err := lobstore.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +41,12 @@ func TestImageRoundTrip(t *testing.T) {
 		payloads[name] = data
 	}
 
-	path := filepath.Join(t.TempDir(), "db.img")
-	if err := db.SaveFile(path); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Reopen and verify everything, then keep editing.
-	db2, err := lobstore.OpenFile(path)
+	db2, err := lobstore.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +70,10 @@ func TestImageRoundTrip(t *testing.T) {
 			t.Fatalf("%s: read: %v", name, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: content corrupted across image round trip", name)
+			t.Fatalf("%s: content corrupted across close and reopen", name)
 		}
 		// Updates must work in the reopened database (allocator state was
-		// recovered from the buddy directories).
+		// rebuilt from reachability).
 		if err := obj.Append([]byte("appended-after-reopen")); err != nil {
 			t.Fatalf("%s: append after reopen: %v", name, err)
 		}
@@ -92,14 +91,15 @@ func TestImageRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A second save/reopen cycle must also work.
-	if err := db2.SaveFile(path); err != nil {
+	// A second close/reopen cycle must also work.
+	if err := db2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db3, err := lobstore.OpenFile(path)
+	db3, err := lobstore.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db3.Close()
 	if _, err := db3.OpenObject("article"); err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,5 @@ func TestOpenObjectWrongKindDetected(t *testing.T) {
 	// Reopening under the right name works.
 	if _, err := db.OpenObject("doc"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOpenImageRejectsGarbage(t *testing.T) {
-	if _, err := lobstore.OpenImage(bytes.NewReader([]byte("not an image"))); err == nil {
-		t.Fatal("garbage image accepted")
 	}
 }

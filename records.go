@@ -22,7 +22,9 @@ func ShortField(data []byte) Field { return record.ShortField(data) }
 // RecordFile stores small objects: records of short fields plus long field
 // descriptors (§2 of the paper). Records must fit in one page; oversized
 // attributes are stored as long fields under one of the three large object
-// managers.
+// managers. On a Concurrent database every method runs as an engine
+// operation and long fields come back as locking handles, so a record file
+// may be used while other goroutines work on the same database.
 type RecordFile struct {
 	db *DB
 	f  *record.File
@@ -31,70 +33,91 @@ type RecordFile struct {
 // CreateRecordFile makes a new named record file registered in the
 // database catalog.
 func (db *DB) CreateRecordFile(name string) (*RecordFile, error) {
-	f, err := record.NewFile(db.st)
+	rf := &RecordFile{db: db}
+	err := db.run(func() (err error) {
+		if rf.f, err = record.NewFile(db.st); err != nil {
+			return err
+		}
+		return db.cat.Put(catalog.Entry{Name: name, Kind: catalog.KindRecord, Root: rf.f.Root()})
+	})
 	if err != nil {
 		return nil, err
 	}
-	entry := catalog.Entry{Name: name, Kind: catalog.KindRecord, Root: f.Root()}
-	if err := db.cat.Put(entry); err != nil {
-		return nil, err
-	}
-	return &RecordFile{db: db, f: f}, nil
+	return rf, nil
 }
 
 // OpenRecordFile reattaches to a named record file.
 func (db *DB) OpenRecordFile(name string) (*RecordFile, error) {
-	e, ok, err := db.cat.Get(name)
+	rf := &RecordFile{db: db}
+	err := db.run(func() error {
+		e, ok, err := db.cat.Get(name)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("lobstore: no record file named %q", name)
+		}
+		if e.Kind != catalog.KindRecord {
+			return fmt.Errorf("lobstore: %q is a %v object, not a record file", name, e.Kind)
+		}
+		rf.f, err = record.OpenFile(db.st, e.Root)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("lobstore: no record file named %q", name)
-	}
-	if e.Kind != catalog.KindRecord {
-		return nil, fmt.Errorf("lobstore: %q is a %v object, not a record file", name, e.Kind)
-	}
-	f, err := record.OpenFile(db.st, e.Root)
-	if err != nil {
-		return nil, err
-	}
-	return &RecordFile{db: db, f: f}, nil
+	return rf, nil
 }
 
 // Insert stores a record and returns its RID.
-func (rf *RecordFile) Insert(fields []Field) (RID, error) { return rf.f.Insert(fields) }
+func (rf *RecordFile) Insert(fields []Field) (rid RID, err error) {
+	err = rf.db.run(func() (err error) {
+		rid, err = rf.f.Insert(fields)
+		return err
+	})
+	return rid, err
+}
 
 // Read fetches a record by RID.
-func (rf *RecordFile) Read(rid RID) ([]Field, error) { return rf.f.Read(rid) }
+func (rf *RecordFile) Read(rid RID) (fields []Field, err error) {
+	err = rf.db.run(func() (err error) {
+		fields, err = rf.f.Read(rid)
+		return err
+	})
+	return fields, err
+}
 
 // Delete removes a record. Long fields it references stay allocated until
-// DestroyLong is called on their descriptors.
-func (rf *RecordFile) Delete(rid RID) error { return rf.f.Delete(rid) }
+// DestroyLongField is called on their descriptors.
+func (rf *RecordFile) Delete(rid RID) error {
+	return rf.db.run(func() error { return rf.f.Delete(rid) })
+}
 
 // NewLongField creates a large object to back one attribute and returns
 // the live object plus the descriptor to embed in a record. spec is the
 // same engine selector used by DB.Create.
 func (rf *RecordFile) NewLongField(spec ObjectSpec) (Object, LongRef, error) {
-	ls := record.LongSpec{
-		LeafPages:       spec.LeafPages,
-		Threshold:       spec.Threshold,
-		MaxSegmentPages: spec.MaxSegmentPages,
-	}
-	switch spec.Engine {
-	case "esm":
-		ls.Kind = catalog.KindESM
-	case "starburst":
-		ls.Kind = catalog.KindStarburst
-	case "eos":
-		ls.Kind = catalog.KindEOS
-	default:
-		return nil, LongRef{}, fmt.Errorf("lobstore: unknown engine %q", spec.Engine)
-	}
-	return rf.f.CreateLong(ls)
+	var ref LongRef
+	obj, err := rf.db.object(func() (managed, error) {
+		m, kind, err := createManaged(rf.db.st, spec)
+		if err == nil {
+			ref = LongRef{Kind: kind, Root: m.Root()}
+		}
+		return m, err
+	})
+	return obj, ref, err
 }
 
 // OpenLongField reattaches to a long field from its descriptor.
-func (rf *RecordFile) OpenLongField(ref LongRef) (Object, error) { return rf.f.OpenLong(ref) }
+func (rf *RecordFile) OpenLongField(ref LongRef) (Object, error) {
+	return rf.db.object(func() (managed, error) { return openManaged(rf.db.st, ref.Kind, ref.Root) })
+}
 
 // DestroyLongField releases the storage behind a long field descriptor.
-func (rf *RecordFile) DestroyLongField(ref LongRef) error { return rf.f.DestroyLong(ref) }
+func (rf *RecordFile) DestroyLongField(ref LongRef) error {
+	obj, err := rf.OpenLongField(ref)
+	if err != nil {
+		return err
+	}
+	return obj.Destroy()
+}

@@ -2,7 +2,6 @@ package lobstore_test
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"lobstore"
@@ -48,10 +47,19 @@ func TestRecordFileBasics(t *testing.T) {
 	if _, err := db.OpenRecordFile("blob"); err == nil {
 		t.Error("opened a large object as a record file")
 	}
+	// Long fields name their manager like DB.Create does; unknown ones are
+	// refused on both the creating and the reopening side.
+	if _, _, err := rf.NewLongField(lobstore.ObjectSpec{Engine: "bogus"}); err == nil {
+		t.Error("long field under an unknown engine accepted")
+	}
+	if _, err := rf.OpenLongField(lobstore.LongRef{Kind: 99}); err == nil {
+		t.Error("long field descriptor of an unknown kind accepted")
+	}
 }
 
 func TestRecordFileLongFieldsSurviveImage(t *testing.T) {
-	db, err := lobstore.Open(testConfig())
+	cfg := fileConfig(t.TempDir())
+	db, err := lobstore.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +86,14 @@ func TestRecordFileLongFieldsSurviveImage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "rec.img")
-	if err := db.SaveFile(path); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := lobstore.OpenFile(path)
+	db2, err := lobstore.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db2.Close()
 	rf2, err := db2.OpenRecordFile("assets")
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +111,7 @@ func TestRecordFileLongFieldsSurviveImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, blob) {
-		t.Fatal("long field corrupted across image round trip")
+		t.Fatal("long field corrupted across close and reopen")
 	}
 	if err := rf2.DestroyLongField(*fields[1].Long); err != nil {
 		t.Fatal(err)

@@ -5,12 +5,8 @@ import (
 
 	"lobstore/internal/buddy"
 	"lobstore/internal/catalog"
-	"lobstore/internal/core"
 	"lobstore/internal/disk"
-	"lobstore/internal/eos"
-	"lobstore/internal/esm"
 	"lobstore/internal/record"
-	"lobstore/internal/starburst"
 	"lobstore/internal/store"
 )
 
@@ -38,28 +34,9 @@ func scanReachable(st *store.Store, cat *catalog.Catalog,
 		return err
 	}
 	markObject := func(owner string, kind catalog.Kind, root disk.Addr) error {
-		var m core.PageMarker
-		switch kind {
-		case catalog.KindESM:
-			o, err := esm.Open(st, root)
-			if err != nil {
-				return err
-			}
-			m = o
-		case catalog.KindStarburst:
-			o, err := starburst.Open(st, root)
-			if err != nil {
-				return err
-			}
-			m = o
-		case catalog.KindEOS:
-			o, err := eos.Open(st, root)
-			if err != nil {
-				return err
-			}
-			m = o
-		default:
-			return fmt.Errorf("unknown kind %v", kind)
+		m, err := openManaged(st, kind, root)
+		if err != nil {
+			return err
 		}
 		return m.MarkPages(markFor(owner))
 	}
@@ -131,7 +108,16 @@ func recoverAllocators(st *store.Store, cat *catalog.Catalog) error {
 // operation become free automatically.
 //
 // Handles from before the crash — including obj — must not be used again.
+//
+// Crash is the single-threaded paper profile's tool: a Concurrent database
+// is refused with an error wrapping ErrConfig, because the copy would share
+// the simulated disk — and the engine's hooks on it — with the original
+// while carrying no engine of its own. Test a durable store's recovery with
+// InjectPowerCut and a reopen instead.
 func (db *DB) Crash() (*DB, error) {
+	if db.cfg.Concurrent {
+		return nil, fmt.Errorf("lobstore: %w: Crash needs a database opened without Concurrent", ErrConfig)
+	}
 	st, err := db.st.CrashCopy()
 	if err != nil {
 		return nil, err
