@@ -131,17 +131,20 @@ func (t *benchTracker) measurePhase(name string, fn func() error) (benchPhase, e
 }
 
 // microBenchmarks measures the allocation behaviour of the I/O hot paths
-// via testing.Benchmark: the buffer pool's multi-page hit path, the
-// simulated disk's materialized read, the engine lock manager's
-// uncontended cycle, and the wire protocol's loopback round trip at
-// pipeline depths 1 and 16. All were (or guard against becoming)
-// allocation sites; the JSON keeps them pinned.
+// via testing.Benchmark: the buffer pool's multi-page hit path and its
+// single-page miss at two pool sizes (victim selection must not make a
+// miss cost more in a larger pool), the simulated disk's materialized
+// read, the engine lock manager's uncontended cycle, and the wire
+// protocol's loopback round trip at pipeline depths 1 and 16. All were (or
+// guard against becoming) allocation sites; the JSON keeps them pinned.
 func microBenchmarks() []microResult {
 	specs := []struct {
 		name string
 		fn   func(b *testing.B)
 	}{
 		{"FixRunHit4", benchFixRunHit},
+		{"PoolMiss256", func(b *testing.B) { benchPoolMiss(b, 256) }},
+		{"PoolMiss16k", func(b *testing.B) { benchPoolMiss(b, 16<<10) }},
 		{"DiskReadMaterialized4", benchDiskReadMaterialized},
 		{"DiskSequentialWriteGrow", benchDiskWriteGrow},
 		{"LockUncontended", benchLockUncontended},
@@ -189,6 +192,41 @@ func benchFixRunHit(b *testing.B) {
 			b.Fatal(err)
 		}
 		buffer.UnfixAll(hs, false)
+	}
+}
+
+// benchPoolMiss measures a single-page miss in a full, clean pool of the
+// given size: pages are fixed round-robin over twice the pool, so every fix
+// evicts the least recently used page and reads another.
+func benchPoolMiss(b *testing.B, frames int) {
+	d, err := disk.New(sim.DefaultModel(), sim.NewClock())
+	if err != nil {
+		b.Fatal(err)
+	}
+	aid, err := d.AddArea(2 * frames)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool, err := buffer.New(d, buffer.Config{Frames: frames, MaxRun: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := 0
+	miss := func() {
+		h, err := pool.FixPage(disk.Addr{Area: aid, Page: disk.PageID(next)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Unfix(false)
+		next = (next + 1) % (2 * frames)
+	}
+	for i := 0; i < frames; i++ {
+		miss()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		miss()
 	}
 }
 

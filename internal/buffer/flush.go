@@ -216,9 +216,7 @@ func (p *Pool) maybePrefetch(next disk.Addr) error {
 			if p.obs.Enabled() {
 				p.emit(obs.KindBufEvict, f.addr, 1)
 			}
-			delete(p.index, f.addr)
-			f.valid = false
-			f.prefetched = false
+			p.invalidate(i)
 		}
 	}
 	if err := p.d.Read(next, n, p.arena[start*p.pageSize:(start+n)*p.pageSize]); err != nil {

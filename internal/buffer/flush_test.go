@@ -2,7 +2,9 @@ package buffer
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"lobstore/internal/disk"
@@ -10,12 +12,15 @@ import (
 	"lobstore/internal/sim"
 )
 
-func newPoolCfg(t *testing.T, cfg Config) (*Pool, *disk.Disk) {
+// newPoolCfg returns a pool over a fresh one-area disk that carries, as a
+// store's disk does, a tracer with no sink attached.
+func newPoolCfg(t testing.TB, cfg Config) (*Pool, *disk.Disk) {
 	t.Helper()
 	d, err := disk.New(sim.DefaultModel(), sim.NewClock())
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.SetTracer(obs.NewTracer())
 	if _, err := d.AddArea(1 << 12); err != nil {
 		t.Fatal(err)
 	}
@@ -360,49 +365,77 @@ func TestReadAheadNeverEvictsProtectedFrames(t *testing.T) {
 	pinB.Unfix(false)
 }
 
-// TestScanWindowMatchesReference cross-checks the incremental sliding
-// window victim scan against the original O(frames x npages) rescan on
-// randomized pool states: identical window choice for every run length,
-// including the tie-breaking order.
-func TestScanWindowMatchesReference(t *testing.T) {
-	referenceScan := func(p *Pool, npages int) (int, bool) {
-		type cand struct {
-			start, dirty int
-			recency      int64
-		}
-		var best cand
-		found := false
-		for s := 0; s+npages <= len(p.frames); s++ {
-			c := cand{start: s}
-			ok := true
-			for i := s; i < s+npages; i++ {
-				f := &p.frames[i]
-				if f.pins > 0 || (f.valid && f.sticky) {
-					ok = false
-					break
-				}
-				if !f.valid {
-					continue
-				}
-				if f.dirty {
-					c.dirty++
-				}
-				if f.lastUse > c.recency {
-					c.recency = f.lastUse
-				}
+// referenceScan is the victim policy written out window by window: the
+// original O(frames x npages) rescan that scanWindow must agree with.
+func referenceScan(p *Pool, npages int, cleanOnly bool) (int, bool) {
+	type cand struct {
+		start, dirty int
+		recency      int64
+	}
+	var best cand
+	found := false
+	for s := 0; s+npages <= len(p.frames); s++ {
+		c := cand{start: s}
+		ok := true
+		for i := s; i < s+npages; i++ {
+			f := &p.frames[i]
+			if f.pins > 0 || (f.valid && f.sticky) || (cleanOnly && f.valid && f.dirty) {
+				ok = false
+				break
 			}
-			if !ok {
+			if !f.valid {
 				continue
 			}
-			if !found || c.dirty < best.dirty ||
-				(c.dirty == best.dirty && c.recency < best.recency) {
-				best = c
-				found = true
+			if f.dirty {
+				c.dirty++
+			}
+			if f.lastUse > c.recency {
+				c.recency = f.lastUse
 			}
 		}
-		return best.start, found
+		if !ok {
+			continue
+		}
+		if !found || c.dirty < best.dirty ||
+			(c.dirty == best.dirty && c.recency < best.recency) {
+			best = c
+			found = true
+		}
 	}
+	return best.start, found
+}
 
+// checkScan compares scanWindow with the reference for every run length up
+// to maxRun and both cleanOnly values.
+func checkScan(t *testing.T, p *Pool, maxRun int, what string) {
+	t.Helper()
+	for npages := 1; npages <= maxRun; npages++ {
+		for _, cleanOnly := range []bool{false, true} {
+			wantStart, wantOK := referenceScan(p, npages, cleanOnly)
+			gotStart, gotOK := p.scanWindow(npages, cleanOnly)
+			if wantOK != gotOK || (wantOK && wantStart != gotStart) {
+				t.Fatalf("%s: npages %d cleanOnly %v: scanWindow = (%d,%v), reference = (%d,%v)",
+					what, npages, cleanOnly, gotStart, gotOK, wantStart, wantOK)
+			}
+		}
+	}
+}
+
+// relinkAge rebuilds the age list of a pool whose frames a test filled in
+// by hand: ascending use, frames of equal use in random order, since the
+// pool leaves that order unspecified and scanWindow must not depend on it.
+func relinkAge(p *Pool, rng *rand.Rand) {
+	order := rng.Perm(len(p.frames))
+	sort.SliceStable(order, func(a, b int) bool { return p.use(order[a]) < p.use(order[b]) })
+	for _, i := range order {
+		p.age.moveBack(i)
+	}
+}
+
+// TestScanWindowMatchesReference cross-checks the victim search against
+// the reference on randomized hand-built pool states: identical window
+// choice for every run length, including the tie-breaking order.
+func TestScanWindowMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
 		frames := 2 + rng.Intn(15)
@@ -420,14 +453,8 @@ func TestScanWindowMatchesReference(t *testing.T) {
 				f.pins = 1
 			}
 		}
-		for npages := 1; npages <= frames; npages++ {
-			wantStart, wantOK := referenceScan(p, npages)
-			gotStart, gotOK := p.scanWindow(npages, false)
-			if wantOK != gotOK || (wantOK && wantStart != gotStart) {
-				t.Fatalf("trial %d npages %d: scanWindow = (%d,%v), reference = (%d,%v)",
-					trial, npages, gotStart, gotOK, wantStart, wantOK)
-			}
-		}
+		relinkAge(p, rng)
+		checkScan(t, p, frames, fmt.Sprintf("trial %d", trial))
 	}
 }
 

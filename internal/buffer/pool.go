@@ -40,9 +40,14 @@ type Pool struct {
 	// calls so the multi-block hit path allocates nothing for the probe.
 	runIdx []int
 
-	// deque is freeWindow's scratch: a monotonic deque of frame indices
-	// used to maintain the sliding-window recency maximum.
-	deque []int
+	// Victim selection (scanWindow): age orders the frames by use; seen and
+	// seenGen mark the frames tier 1 has passed in the current search; deque
+	// is tier 2's scratch, a monotonic deque of frame indices maintaining
+	// the sliding-window recency maximum.
+	age     ageList
+	seen    []uint32
+	seenGen uint32
+	deque   []int
 
 	// hfree recycles Handle structs: Unfix pushes, the Fix* paths pop, so
 	// steady-state fixing allocates nothing. The pool is single-threaded
@@ -65,6 +70,10 @@ type Pool struct {
 
 	hits   int64
 	misses int64
+	// Victim-search cost: frames tier 1 visited, and searches that fell
+	// back to tier 2.
+	victimSteps     int64
+	victimFallbacks int64
 }
 
 type frame struct {
@@ -114,6 +123,8 @@ func New(d *disk.Disk, cfg Config) (*Pool, error) {
 		maxRun:   cfg.MaxRun,
 		pageSize: ps,
 		runIdx:   make([]int, cfg.MaxRun),
+		age:      newAgeList(cfg.Frames),
+		seen:     make([]uint32, cfg.Frames),
 		deque:    make([]int, cfg.Frames),
 		hfree:    make([]*Handle, 0, 2*cfg.Frames),
 		runHS:    make([]*Handle, 0, cfg.MaxRun),
@@ -137,6 +148,13 @@ func (p *Pool) Frames() int { return len(p.frames) }
 
 // HitRate returns pool hits and misses so far.
 func (p *Pool) HitRate() (hits, misses int64) { return p.hits, p.misses }
+
+// VictimStats returns what victim selection has cost so far: the frames
+// visited on the age list (one or a few per miss while the pool has clean
+// cold frames) and the searches that found no all-clean window and scanned
+// every frame instead. The same numbers reach an attached metrics registry
+// as buffer.victim.steps and buffer.victim.fallbacks.
+func (p *Pool) VictimStats() (steps, fallbacks int64) { return p.victimSteps, p.victimFallbacks }
 
 // emit sends a buffer event for page a; count is the run length for
 // multi-block fetches (1 otherwise).
@@ -191,7 +209,7 @@ func (p *Pool) FixPage(addr disk.Addr) (*Handle, error) {
 			p.emit(obs.KindBufHit, addr, 1)
 		}
 		p.frames[i].pins++
-		p.frames[i].lastUse = p.tick
+		p.touch(i)
 		if p.coalesce {
 			p.runIdx[0] = i
 			if err := p.noteHit(addr, 1, p.runIdx[:1]); err != nil {
@@ -234,7 +252,7 @@ func (p *Pool) FixNew(addr disk.Addr) (*Handle, error) {
 		clear(p.data(i))
 		p.frames[i].pins++
 		p.frames[i].dirty = true
-		p.frames[i].lastUse = p.tick
+		p.touch(i)
 		return p.newHandle(i, addr), nil
 	}
 	i, err := p.freeWindow(1)
@@ -303,7 +321,7 @@ func (p *Pool) FixRun(addr disk.Addr, npages int) ([]*Handle, error) {
 		hs := p.runHS[:0]
 		for k, i := range idx {
 			p.frames[i].pins++
-			p.frames[i].lastUse = p.tick
+			p.touch(i)
 			hs = append(hs, p.newHandle(i, addr.Add(k)))
 		}
 		p.runHS = hs
@@ -398,16 +416,38 @@ func (p *Pool) evictAddr(addr disk.Addr) error {
 	if p.obs.Enabled() {
 		p.emit(obs.KindBufEvict, addr, 1)
 	}
-	delete(p.index, addr)
-	f.valid = false
-	f.dirty = false
-	f.prefetched = false
+	p.invalidate(i)
 	return nil
 }
 
+// install binds frame i to page addr as the most recently used frame.
 func (p *Pool) install(i int, addr disk.Addr) {
 	p.frames[i] = frame{addr: addr, valid: true, lastUse: p.tick}
 	p.index[addr] = i
+	p.age.moveBack(i)
+}
+
+// touch records a use of resident frame i.
+func (p *Pool) touch(i int) {
+	p.frames[i].lastUse = p.tick
+	p.age.moveBack(i)
+}
+
+// invalidate forgets the page in unpinned frame i without writing it back;
+// the free frame becomes the oldest.
+func (p *Pool) invalidate(i int) {
+	delete(p.index, p.frames[i].addr)
+	p.frames[i] = frame{}
+	p.age.moveFront(i)
+}
+
+// use is frame i's position in the age order: its last use, 0 when free.
+func (p *Pool) use(i int) int64 {
+	f := &p.frames[i]
+	if !f.valid {
+		return 0
+	}
+	return f.lastUse
 }
 
 // freeWindow evicts as needed to produce npages adjacent free frames and
@@ -436,21 +476,80 @@ func (p *Pool) freeWindow(npages int) (int, error) {
 }
 
 // scanWindow selects the cheapest window of npages adjacent evictable
-// frames in one pass: windows holding a pinned or sticky frame (or, with
-// cleanOnly, a dirty one) are ineligible; among the rest the window with
-// the fewest dirty pages wins, ties broken by the lowest recency (the
-// maximum lastUse of its valid frames), then by the lowest start. The
-// window aggregates — blocked count, dirty count, and a monotonic deque
-// for the sliding recency maximum — are maintained incrementally, so one
-// miss costs O(frames) instead of the former O(frames × npages) rescan.
+// frames: windows holding a pinned or sticky frame (or, with cleanOnly, a
+// dirty one) are ineligible; among the rest the window with the fewest
+// dirty pages wins, ties broken by the lowest recency (the maximum use of
+// its frames), then by the lowest start.
+//
+// Tier 1 answers whenever some eligible window has no dirty page, which
+// beats every window that has one. It walks the age list from the oldest
+// frame, marking each unpinned, non-sticky, clean frame as seen. A window
+// is complete when its last frame is marked, and because the walk ascends
+// in use that frame's use is the window's recency — so the first use value
+// at which any window completes is the lowest recency an all-clean window
+// has. The walk finishes that group of equal use before stopping, keeping
+// the lowest start among the windows the group completes. One miss
+// therefore costs O(frames visited × npages): a pool with clean cold
+// frames pays for those, not for its size.
+//
+// Tier 2 runs only when no all-clean window exists and dirty victims are
+// allowed: scanLinear's pass over every window.
 func (p *Pool) scanWindow(npages int, cleanOnly bool) (int, bool) {
-	use := func(i int) int64 {
-		f := &p.frames[i]
-		if !f.valid {
-			return 0
-		}
-		return f.lastUse
+	p.seenGen++
+	if p.seenGen == 0 { // wrapped: old stamps would read as current
+		clear(p.seen)
+		p.seenGen = 1
 	}
+	seen, gen := p.seen, p.seenGen
+	var (
+		best, steps int
+		bestUse     int64
+		found       bool
+	)
+	for i := p.age.front(); i != p.age.end(); i = p.age.next[i] {
+		u := p.use(int(i))
+		if found && u != bestUse {
+			break
+		}
+		steps++
+		f := &p.frames[i]
+		if f.pins > 0 || (f.valid && (f.sticky || f.dirty)) {
+			continue
+		}
+		seen[i] = gen
+		// [lo, hi] is the run of seen frames around i, grown left as far as
+		// a window holding i reaches, then right until it spans a window:
+		// lo is then the lowest start of a window that i completes.
+		lo, hi := int(i), int(i)
+		for lo > 0 && hi-lo+1 < npages && seen[lo-1] == gen {
+			lo--
+		}
+		for hi+1 < len(seen) && hi-lo+1 < npages && seen[hi+1] == gen {
+			hi++
+		}
+		if hi-lo+1 == npages && (!found || lo < best) {
+			best, bestUse, found = lo, u, true
+		}
+	}
+	p.victimSteps += int64(steps)
+	if p.obs.Enabled() {
+		p.obs.Count("buffer.victim.steps", int64(steps))
+	}
+	if found || cleanOnly {
+		return best, found
+	}
+	p.victimFallbacks++
+	if p.obs.Enabled() {
+		p.obs.Count("buffer.victim.fallbacks", 1)
+	}
+	return p.scanLinear(npages)
+}
+
+// scanLinear is scanWindow's policy evaluated over every window in one
+// pass: the window aggregates — blocked count, dirty count, and a monotonic
+// deque for the sliding recency maximum — are maintained incrementally, so
+// it costs O(frames).
+func (p *Pool) scanLinear(npages int) (int, bool) {
 	var (
 		bestStart, bestDirty int
 		bestRec              int64
@@ -461,21 +560,21 @@ func (p *Pool) scanWindow(npages int, cleanOnly bool) (int, bool) {
 	head, tail := 0, 0
 	for i := range p.frames {
 		f := &p.frames[i]
-		if f.pins > 0 || (f.valid && f.sticky) || (cleanOnly && f.valid && f.dirty) {
+		if f.pins > 0 || (f.valid && f.sticky) {
 			blocked++
 		}
 		if f.valid && f.dirty {
 			dirtyCnt++
 		}
-		u := use(i)
-		for tail > head && use(dq[tail-1]) <= u {
+		u := p.use(i)
+		for tail > head && p.use(dq[tail-1]) <= u {
 			tail--
 		}
 		dq[tail] = i
 		tail++
 		if j := i - npages; j >= 0 {
 			g := &p.frames[j]
-			if g.pins > 0 || (g.valid && g.sticky) || (cleanOnly && g.valid && g.dirty) {
+			if g.pins > 0 || (g.valid && g.sticky) {
 				blocked--
 			}
 			if g.valid && g.dirty {
@@ -486,7 +585,7 @@ func (p *Pool) scanWindow(npages int, cleanOnly bool) (int, bool) {
 			}
 		}
 		if i >= npages-1 && blocked == 0 {
-			rec := use(dq[head])
+			rec := p.use(dq[head])
 			if !found || dirtyCnt < bestDirty ||
 				(dirtyCnt == bestDirty && rec < bestRec) {
 				bestStart, bestDirty, bestRec, found = i-npages+1, dirtyCnt, rec, true
@@ -553,11 +652,7 @@ func (p *Pool) DropRange(addr disk.Addr, npages int) error {
 			if p.frames[i].pins > 0 {
 				return fmt.Errorf("buffer: cannot drop pinned page %v", a)
 			}
-			delete(p.index, a)
-			p.frames[i].valid = false
-			p.frames[i].dirty = false
-			p.frames[i].sticky = false
-			p.frames[i].prefetched = false
+			p.invalidate(i)
 		}
 	}
 	return nil
@@ -576,11 +671,7 @@ func (p *Pool) DropAll() error {
 		if f.pins > 0 {
 			return fmt.Errorf("buffer: cannot drop pinned page %v", f.addr)
 		}
-		delete(p.index, f.addr)
-		f.valid = false
-		f.dirty = false
-		f.sticky = false
-		f.prefetched = false
+		p.invalidate(i)
 	}
 	return nil
 }

@@ -96,6 +96,23 @@ func (t *Tracer) emitLocked(e Event) {
 	}
 }
 
+// Count adds delta to a named counter of every attached Metrics registry.
+// It is for work that is measured but is not an event: nothing is written
+// to trace sinks, so traces stay as they were. Callers should guard with
+// Enabled().
+func (t *Tracer) Count(name string, delta int64) {
+	if !t.Enabled() {
+		return
+	}
+	t.mu.Lock()
+	for _, s := range t.sinks {
+		if m, ok := s.(*Metrics); ok {
+			m.Add(name, delta)
+		}
+	}
+	t.mu.Unlock()
+}
+
 // Begin opens an operation span; all events emitted until the matching End
 // are tagged with it. Spans nest (the innermost wins). Returns 0 when the
 // tracer is disabled.

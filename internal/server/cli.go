@@ -110,11 +110,15 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "%s: close handles: %v\n", prog, err)
 		code = 1
 	}
+	hits, misses := db.PoolHitRate()
+	steps, fallbacks := db.PoolVictimStats()
 	if err := db.Close(); err != nil {
 		fmt.Fprintf(stderr, "%s: close: %v\n", prog, err)
 		code = 1
 	}
 	printSummary(stderr, prog, srv)
+	fmt.Fprintf(stderr, "%s: buffer pool %d hits %d misses; victim search visited %d frames, %d full scans\n",
+		prog, hits, misses, steps, fallbacks)
 	return code
 }
 

@@ -46,10 +46,10 @@ func (s *Stats) Add(o Stats) {
 // Sub returns the difference s − o, useful for per-operation deltas.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		ReadCalls:    s.ReadCalls - o.ReadCalls,
-		WriteCalls:   s.WriteCalls - o.WriteCalls,
-		PagesRead:    s.PagesRead - o.PagesRead,
-		PagesWritten: s.PagesWritten - o.PagesWritten,
+		ReadCalls:     s.ReadCalls - o.ReadCalls,
+		WriteCalls:    s.WriteCalls - o.WriteCalls,
+		PagesRead:     s.PagesRead - o.PagesRead,
+		PagesWritten:  s.PagesWritten - o.PagesWritten,
 		SeekDistance:  s.SeekDistance - o.SeekDistance,
 		Time:          s.Time - o.Time,
 		CoalescedRuns: s.CoalescedRuns - o.CoalescedRuns,

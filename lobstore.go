@@ -483,6 +483,14 @@ func (db *DB) PoolHitRate() (hits, misses int64) {
 	return hits, misses
 }
 
+// PoolVictimStats returns the cost of buffer-pool victim selection so far:
+// frames visited in age order, and searches that found every candidate
+// window dirty and fell back to scanning the whole pool.
+func (db *DB) PoolVictimStats() (steps, fallbacks int64) {
+	db.view(func() { steps, fallbacks = db.st.Pool.VictimStats() })
+	return steps, fallbacks
+}
+
 // SpaceInUse reports the allocated page counts of the data and metadata
 // areas.
 func (db *DB) SpaceInUse() (dataPages, metaPages int64) {

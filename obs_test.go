@@ -26,6 +26,7 @@ func TestTraceFidelity(t *testing.T) {
 	m := db.EnableMetrics(nil)
 	base := db.Stats()
 	hits0, misses0 := db.PoolHitRate()
+	steps0, fallbacks0 := db.PoolVictimStats()
 
 	workout := func(newObj func() (lobstore.Object, error)) {
 		t.Helper()
@@ -126,6 +127,14 @@ func TestTraceFidelity(t *testing.T) {
 	if m.Counter("buf.hits") != hits-hits0 || m.Counter("buf.misses") != misses-misses0 {
 		t.Fatalf("metrics buf %d/%d, pool saw %d/%d since attach",
 			m.Counter("buf.hits"), m.Counter("buf.misses"), hits-hits0, misses-misses0)
+	}
+	steps, fallbacks := db.PoolVictimStats()
+	if steps == steps0 {
+		t.Fatal("pool never searched for a victim")
+	}
+	if m.Counter("buffer.victim.steps") != steps-steps0 || m.Counter("buffer.victim.fallbacks") != fallbacks-fallbacks0 {
+		t.Fatalf("metrics victim search %d/%d, pool saw %d/%d since attach",
+			m.Counter("buffer.victim.steps"), m.Counter("buffer.victim.fallbacks"), steps-steps0, fallbacks-fallbacks0)
 	}
 	if db.Metrics() != m {
 		t.Fatal("Metrics() accessor does not return the attached registry")
