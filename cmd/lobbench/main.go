@@ -55,7 +55,6 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 		benchOut = flag.String("benchjson", "", "write per-experiment wall/alloc/simulated-time measurements to this JSON file")
-		coalesce = flag.Bool("coalesce", false, "enable elevator write coalescing and read-ahead (changes I/O counts: paper tables need it off)")
 		conc     = flag.Bool("concurrent", false, "open each database through the concurrency engine (adds lock/epoch overhead: paper tables need it off)")
 		volOut   = flag.String("volbenchjson", "", "run the volume backend micro-benchmarks, write them to this JSON file, and exit")
 		tsOut    = flag.String("timeseries", "", "write per-cell flight-recorder windows (counters + latency percentiles over simulated time) to this JSON file")
@@ -101,7 +100,6 @@ func main() {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	cfg.DB.Coalesce = *coalesce
 	cfg.DB.Concurrent = *conc
 
 	var names []string

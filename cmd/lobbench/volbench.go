@@ -37,15 +37,14 @@ type volBenchReport struct {
 
 type volBenchCase struct {
 	// Name is backend-pattern-op[-sync], e.g. "file-rand-write-sync",
-	// pool-backend-writeback[-coalesce] for the buffer-pool cells, or
+	// pool-backend-writeback for the buffer-pool cells, or
 	// group-commit-N-pattern-append for the barrier-combiner cells.
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	MBPerS      float64 `json:"mb_per_s"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// WriteCalls and SimMs are reported by the pool write-back cells only:
-	// disk write calls and simulated milliseconds per operation. The
-	// coalesce variant must show both at a fraction of the plain one.
+	// disk write calls and simulated milliseconds per operation.
 	WriteCalls float64 `json:"write_calls_per_op,omitempty"`
 	SimMs      float64 `json:"sim_ms_per_op,omitempty"`
 	// FsyncsPerOp and AvgBatch are reported by the group-commit cells:
@@ -114,15 +113,14 @@ func benchVolume(v disk.Volume, random, write bool) func(b *testing.B) {
 }
 
 // poolBenchWindow is the dirty-run width of the pool write-back cells:
-// wider than MaxRun so coalescing has something to merge, narrower than
-// the frame count so the window fits the pool.
+// narrower than the frame count so the window fits the pool.
 const poolBenchWindow = 8
 
 // newPoolBench wraps a backend in the simulated disk and a 12-frame pool
 // and materializes every page, so the timed loop never grows the file.
 // Setup happens once per cell: the benchmark closure reruns with growing
 // b.N against the same pool.
-func newPoolBench(v disk.Volume, coalesce bool) (*buffer.Pool, *disk.Disk, error) {
+func newPoolBench(v disk.Volume) (*buffer.Pool, *disk.Disk, error) {
 	d, err := disk.New(sim.DefaultModel(), sim.NewClock(), disk.WithVolume(v))
 	if err != nil {
 		return nil, nil, err
@@ -130,11 +128,7 @@ func newPoolBench(v disk.Volume, coalesce bool) (*buffer.Pool, *disk.Disk, error
 	if _, err := d.AddArea(volBenchPages); err != nil {
 		return nil, nil, err
 	}
-	p, err := buffer.New(d, buffer.Config{
-		Frames:   12,
-		MaxRun:   volBenchRunPages,
-		Coalesce: coalesce,
-	})
+	p, err := buffer.New(d, buffer.Config{Frames: 12, MaxRun: volBenchRunPages})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -149,10 +143,8 @@ func newPoolBench(v disk.Volume, coalesce bool) (*buffer.Pool, *disk.Disk, error
 
 // benchPoolWriteback measures the buffer pool's dirty write-back through a
 // backend: each op dirties an ascending poolBenchWindow-page run and
-// flushes it. With coalescing off that is one disk write per page; the
-// elevator scheduler merges the run into MaxRun-sized writes, and its
-// read-ahead batches the demand misses too. writeCalls and simMs receive
-// the per-op disk write calls and simulated milliseconds.
+// flushes it, one disk write per page. writeCalls and simMs receive the
+// per-op disk write calls and simulated milliseconds.
 func benchPoolWriteback(p *buffer.Pool, d *disk.Disk, writeCalls, simMs *float64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -378,18 +370,13 @@ func volumeBenchmarks(pageSize int) (*volBenchReport, error) {
 	}
 
 	// Pool write-back cells: the same backends driven through the buffer
-	// pool, with and without the elevator scheduler. The coalesce variants
-	// document the win BENCH CI guards: fewer write calls and less
-	// simulated time for identical page traffic.
+	// pool.
 	poolCells := []struct {
-		name     string
-		open     func(dir string) (disk.Volume, error)
-		coalesce bool
+		name string
+		open func(dir string) (disk.Volume, error)
 	}{
-		{"pool-mem-writeback", memOpen, false},
-		{"pool-mem-writeback-coalesce", memOpen, true},
-		{"pool-file-writeback", fileOpen(filevol.SyncNever), false},
-		{"pool-file-writeback-coalesce", fileOpen(filevol.SyncNever), true},
+		{"pool-mem-writeback", memOpen},
+		{"pool-file-writeback", fileOpen(filevol.SyncNever)},
 	}
 	for _, c := range poolCells {
 		dir, err := os.MkdirTemp("", "lobbench-vol-*")
@@ -400,7 +387,7 @@ func volumeBenchmarks(pageSize int) (*volBenchReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, d, err := newPoolBench(v, c.coalesce)
+		p, d, err := newPoolBench(v)
 		if err != nil {
 			return nil, err
 		}

@@ -88,7 +88,6 @@ func main() {
 		backend   = flag.String("backend", "mem", "byte-storage backend: mem or file")
 		dir       = flag.String("dir", "", "directory of the file-backed database (backend file)")
 		sync      = flag.String("sync", "commit", "file-backend fsync policy: always, commit or never")
-		coalesce  = flag.Bool("coalesce", false, "enable elevator write coalescing and sequential read-ahead")
 		groupMax  = flag.Int("group-commit", 0, "file-backend group commit: max barriers per device flush (<= 1 = groups of one)")
 		groupWait = flag.Duration("group-delay", 0, "file-backend group commit: max wait for a batch to fill")
 		conc      = flag.Bool("concurrent", false, "open the database through the concurrency engine (thread-safe handles, snapshot reads)")
@@ -98,7 +97,6 @@ func main() {
 
 	cfg := lobstore.DefaultConfig()
 	cfg.Backend, cfg.Dir, cfg.SyncPolicy = *backend, *dir, *sync
-	cfg.Coalesce = *coalesce
 	cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: *groupMax, MaxDelay: *groupWait}
 	cfg.Concurrent = *conc
 	switch {

@@ -2,8 +2,8 @@
 // internal/wire length-prefixed binary protocol. It opens the store
 // through the concurrency engine (Config.Concurrent), so many
 // connections share one database with per-object FIFO ordering and
-// snapshot reads, and commits from independent connections coalesce into
-// the file backend's group-commit batches.
+// snapshot reads, and commits from independent connections share the file
+// backend's group-commit batches.
 //
 //	$ lobserve -addr :7431 -backend file -dir /data/lob
 //
@@ -19,8 +19,7 @@
 //	-sync          file-backend fsync policy: always, commit, never
 //	-group-commit  max barriers per device flush (default 16)
 //	-group-delay   max wait for a group-commit batch to fill
-//	-coalesce      elevator write coalescing + sequential read-ahead
-//	-buffer-pages  buffer pool size in pages (0 = concurrent minimum)
+//	-buffer-pages  buffer pool size in pages (default 256; 0 = concurrent minimum)
 //	-workers       executor goroutines per connection (0 = default 4)
 //	-chunk         streaming-read frame payload bytes (0 = 64KiB)
 //

@@ -138,7 +138,6 @@ func diff(args []string) error {
 		{ma.IOSize, mb.IOSize},
 		{ma.Seek, mb.Seek},
 		{ma.Depth, mb.Depth},
-		{ma.WriteRun, mb.WriteRun},
 	}
 	// Per-op latency histograms are created lazily, so an operation may have
 	// a histogram in one trace and none (nil) in the other — e.g. diffing a

@@ -114,8 +114,8 @@ func readSuper(dir string) (Config, error) {
 // openFile creates or reopens a durable file-backed database under
 // cfg.Dir. A directory with a superblock is an existing database and is
 // reopened (its recorded geometry wins over the caller's cfg; Dir,
-// SyncPolicy, CrashInjection, Coalesce, GroupCommit and Concurrent still
-// come from the caller); otherwise a fresh database is created.
+// SyncPolicy, CrashInjection, GroupCommit and Concurrent still come from
+// the caller); otherwise a fresh database is created.
 func openFile(cfg Config) (*DB, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("lobstore: file backend needs Config.Dir")
@@ -134,7 +134,6 @@ func openFile(cfg Config) (*DB, error) {
 	}
 	if !fresh {
 		super.Dir, super.SyncPolicy, super.CrashInjection = cfg.Dir, cfg.SyncPolicy, cfg.CrashInjection
-		super.Coalesce = cfg.Coalesce
 		super.GroupCommit = cfg.GroupCommit
 		super.Concurrent = cfg.Concurrent
 		cfg = super

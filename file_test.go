@@ -197,18 +197,15 @@ func TestFileCrashMatrix(t *testing.T) {
 		return obj, before
 	}
 
-	// The whole matrix runs three times: once with the paper's
-	// one-write-per-page write-back, once with the elevator scheduler, and
-	// once with group commit (groups of up to 4) — the cuts then land
-	// between a commit group's data writes and its shared fsync. Recovery
-	// always reopens with every mode OFF, so the on-mode legs also prove
-	// the modes agree on the durable state: same recovered bytes, same
-	// fsck.
+	// The whole matrix runs twice: once with groups of one, once with
+	// group commit (groups of up to 4) — the cuts then land between a
+	// commit group's data writes and its shared fsync. Recovery always
+	// reopens with group commit off, so the second leg also proves the
+	// modes agree on the durable state: same recovered bytes, same fsck.
 	modes := []struct {
 		name     string
-		coalesce bool
 		pipeline bool
-	}{{"", false, false}, {"-coalesce", true, false}, {"-pipeline", true, true}}
+	}{{"", false}, {"-pipeline", true}}
 
 	for _, mode := range modes {
 		for _, sc := range specs {
@@ -217,7 +214,6 @@ func TestFileCrashMatrix(t *testing.T) {
 					// Dry run: count the operation's sync barriers.
 					cfg := fileConfig(t.TempDir())
 					cfg.CrashInjection = true
-					cfg.Coalesce = mode.coalesce
 					if mode.pipeline {
 						cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: 4}
 					}
@@ -255,7 +251,6 @@ func TestFileCrashMatrix(t *testing.T) {
 					for k := int64(1); k <= barriers+1; k++ {
 						cfg := fileConfig(t.TempDir())
 						cfg.CrashInjection = true
-						cfg.Coalesce = mode.coalesce
 						if mode.pipeline {
 							cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: 4}
 						}
@@ -358,25 +353,22 @@ func TestOpenWriteKillReopen(t *testing.T) {
 		killChildMain(t)
 		return
 	}
-	// The child writes with and without the elevator scheduler, and once
-	// with group commit on; the parent always recovers with every mode
-	// off, so the on-mode legs double as cross-mode checks on the durable
-	// state.
+	// The child writes with group commit off and on; the parent always
+	// recovers with it off, so the second leg doubles as a cross-mode check
+	// on the durable state.
 	for _, mode := range []struct {
 		name     string
-		coalesce string
 		pipeline string
-	}{{"plain", "", ""}, {"coalesce", "1", ""}, {"pipeline", "1", "1"}} {
-		t.Run(mode.name, func(t *testing.T) { runKillReopen(t, mode.coalesce, mode.pipeline) })
+	}{{"plain", ""}, {"pipeline", "1"}} {
+		t.Run(mode.name, func(t *testing.T) { runKillReopen(t, mode.pipeline) })
 	}
 }
 
-func runKillReopen(t *testing.T, coalesce, pipeline string) {
+func runKillReopen(t *testing.T, pipeline string) {
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0], "-test.run=TestOpenWriteKillReopen", "-test.v")
 	cmd.Env = append(os.Environ(),
 		"LOBSTORE_KILL_CHILD="+dir,
-		"LOBSTORE_KILL_COALESCE="+coalesce,
 		"LOBSTORE_KILL_PIPELINE="+pipeline)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -455,7 +447,6 @@ func runKillReopen(t *testing.T, coalesce, pipeline string) {
 func killChildMain(t *testing.T) {
 	dir := os.Getenv("LOBSTORE_KILL_CHILD")
 	cfg := fileConfig(dir)
-	cfg.Coalesce = os.Getenv("LOBSTORE_KILL_COALESCE") != ""
 	if os.Getenv("LOBSTORE_KILL_PIPELINE") != "" {
 		cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: 4}
 	}

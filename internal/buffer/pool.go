@@ -15,6 +15,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"lobstore/internal/disk"
 	"lobstore/internal/obs"
@@ -59,14 +60,8 @@ type Pool struct {
 	// until the next FixRun call.
 	runHS []*Handle
 
-	// Write-back scheduler and read-ahead state (flush.go). All of it is
-	// inert when coalesce is false: the paper configuration writes every
-	// dirty page back individually so I/O-call accounting matches §4.1.
-	coalesce   bool
-	wbuf       []byte // run assembly buffer, maxRun pages
+	// flushAddrs is FlushAll's scratch: the dirty addresses, sorted.
 	flushAddrs []disk.Addr
-	flushRuns  []run
-	raNext     map[disk.AreaID]disk.PageID // per-area expected next page
 
 	hits   int64
 	misses int64
@@ -77,13 +72,12 @@ type Pool struct {
 }
 
 type frame struct {
-	addr       disk.Addr
-	valid      bool
-	dirty      bool
-	sticky     bool // no-steal: never evicted; shadowing pins pre-images
-	prefetched bool // loaded by read-ahead, not yet demanded
-	pins       int
-	lastUse    int64
+	addr    disk.Addr
+	valid   bool
+	dirty   bool
+	sticky  bool // no-steal: never evicted; shadowing pins pre-images
+	pins    int
+	lastUse int64
 }
 
 // Config sizes a pool.
@@ -93,13 +87,6 @@ type Config struct {
 	// MaxRun is the largest segment, in pages, that may be read into the
 	// pool with one I/O call (paper: 4).
 	MaxRun int
-	// Coalesce enables the elevator write-back scheduler and sequential
-	// read-ahead (flush.go): dirty write-back merges physically adjacent
-	// pages into single multi-page I/O calls in ascending-address order,
-	// and ascending access patterns prefetch the next run into free
-	// frames. Off by default — the paper charges one I/O call per dirty
-	// page written back, so reproduction runs must not coalesce.
-	Coalesce bool
 }
 
 // DefaultConfig returns the paper's pool parameters.
@@ -128,17 +115,9 @@ func New(d *disk.Disk, cfg Config) (*Pool, error) {
 		deque:    make([]int, cfg.Frames),
 		hfree:    make([]*Handle, 0, 2*cfg.Frames),
 		runHS:    make([]*Handle, 0, cfg.MaxRun),
-		coalesce: cfg.Coalesce,
-	}
-	if cfg.Coalesce {
-		p.wbuf = make([]byte, cfg.MaxRun*ps)
-		p.raNext = make(map[disk.AreaID]disk.PageID)
 	}
 	return p, nil
 }
-
-// Coalescing reports whether the write-back scheduler is enabled.
-func (p *Pool) Coalescing() bool { return p.coalesce }
 
 // MaxRun returns the largest segment, in pages, the pool will buffer.
 func (p *Pool) MaxRun() int { return p.maxRun }
@@ -210,20 +189,12 @@ func (p *Pool) FixPage(addr disk.Addr) (*Handle, error) {
 		}
 		p.frames[i].pins++
 		p.touch(i)
-		if p.coalesce {
-			p.runIdx[0] = i
-			if err := p.noteHit(addr, 1, p.runIdx[:1]); err != nil {
-				p.frames[i].pins--
-				return nil, err
-			}
-		}
 		return p.newHandle(i, addr), nil
 	}
 	p.misses++
 	if p.obs.Enabled() {
 		p.emit(obs.KindBufMiss, addr, 1)
 	}
-	seq := p.coalesce && p.noteAccess(addr, 1)
 	i, err := p.freeWindow(1)
 	if err != nil {
 		return nil, err
@@ -233,12 +204,6 @@ func (p *Pool) FixPage(addr disk.Addr) (*Handle, error) {
 	}
 	p.install(i, addr)
 	p.frames[i].pins = 1
-	if seq {
-		if err := p.maybePrefetch(addr.Add(1)); err != nil {
-			p.frames[i].pins--
-			return nil, err
-		}
-	}
 	return p.newHandle(i, addr), nil
 }
 
@@ -325,12 +290,6 @@ func (p *Pool) FixRun(addr disk.Addr, npages int) ([]*Handle, error) {
 			hs = append(hs, p.newHandle(i, addr.Add(k)))
 		}
 		p.runHS = hs
-		if p.coalesce {
-			if err := p.noteHit(addr, npages, idx); err != nil {
-				UnfixAll(hs, false)
-				return nil, err
-			}
-		}
 		return hs, nil
 	}
 	p.misses += int64(npages)
@@ -338,7 +297,6 @@ func (p *Pool) FixRun(addr disk.Addr, npages int) ([]*Handle, error) {
 		p.emit(obs.KindBufMiss, addr, npages)
 		p.emit(obs.KindBufFetchRun, addr, npages)
 	}
-	seq := p.coalesce && p.noteAccess(addr, npages)
 	// Flush-and-drop any stale resident copies (a dirty resident page would
 	// otherwise be lost when we re-read the run from disk).
 	for k := 0; k < npages; k++ {
@@ -361,12 +319,6 @@ func (p *Pool) FixRun(addr disk.Addr, npages int) ([]*Handle, error) {
 		hs = append(hs, p.newHandle(i, addr.Add(k)))
 	}
 	p.runHS = hs
-	if seq {
-		if err := p.maybePrefetch(addr.Add(npages)); err != nil {
-			UnfixAll(hs, false)
-			return nil, err
-		}
-	}
 	return hs, nil
 }
 
@@ -392,9 +344,7 @@ func (p *Pool) residentRun(addr disk.Addr, npages int) ([]int, bool) {
 	return idx, true
 }
 
-// evictAddr removes a resident page, writing it back first when dirty —
-// individually in the paper configuration, as a coalesced run under the
-// write-back scheduler.
+// evictAddr removes a resident page, writing it back first when dirty.
 func (p *Pool) evictAddr(addr disk.Addr) error {
 	i, ok := p.index[addr]
 	if !ok {
@@ -405,11 +355,7 @@ func (p *Pool) evictAddr(addr disk.Addr) error {
 		return fmt.Errorf("buffer: cannot evict pinned page %v", addr)
 	}
 	if f.dirty {
-		if p.coalesce {
-			if err := p.flushRunAround(addr); err != nil {
-				return err
-			}
-		} else if err := p.d.Write(addr, 1, p.data(i)); err != nil {
+		if err := p.d.Write(addr, 1, p.data(i)); err != nil {
 			return err
 		}
 	}
@@ -454,15 +400,9 @@ func (p *Pool) use(i int) int64 {
 // returns the first frame number. Clean LRU victims are preferred over
 // dirty ones (paper §3.2).
 func (p *Pool) freeWindow(npages int) (int, error) {
-	start, ok := p.scanWindow(npages, false)
+	start, ok := p.scanWindow(npages)
 	if !ok {
 		return 0, ErrNoRun
-	}
-	if p.coalesce {
-		if err := p.evictWindow(start, npages); err != nil {
-			return 0, err
-		}
-		return start, nil
 	}
 	for i := start; i < start+npages; i++ {
 		f := &p.frames[i]
@@ -476,10 +416,9 @@ func (p *Pool) freeWindow(npages int) (int, error) {
 }
 
 // scanWindow selects the cheapest window of npages adjacent evictable
-// frames: windows holding a pinned or sticky frame (or, with cleanOnly, a
-// dirty one) are ineligible; among the rest the window with the fewest
-// dirty pages wins, ties broken by the lowest recency (the maximum use of
-// its frames), then by the lowest start.
+// frames: windows holding a pinned or sticky frame are ineligible; among
+// the rest the window with the fewest dirty pages wins, ties broken by the
+// lowest recency (the maximum use of its frames), then by the lowest start.
 //
 // Tier 1 answers whenever some eligible window has no dirty page, which
 // beats every window that has one. It walks the age list from the oldest
@@ -492,9 +431,9 @@ func (p *Pool) freeWindow(npages int) (int, error) {
 // therefore costs O(frames visited × npages): a pool with clean cold
 // frames pays for those, not for its size.
 //
-// Tier 2 runs only when no all-clean window exists and dirty victims are
-// allowed: scanLinear's pass over every window.
-func (p *Pool) scanWindow(npages int, cleanOnly bool) (int, bool) {
+// Tier 2 runs only when no all-clean window exists: scanLinear's pass over
+// every window.
+func (p *Pool) scanWindow(npages int) (int, bool) {
 	p.seenGen++
 	if p.seenGen == 0 { // wrapped: old stamps would read as current
 		clear(p.seen)
@@ -535,8 +474,8 @@ func (p *Pool) scanWindow(npages int, cleanOnly bool) (int, bool) {
 	if p.obs.Enabled() {
 		p.obs.Count("buffer.victim.steps", int64(steps))
 	}
-	if found || cleanOnly {
-		return best, found
+	if found {
+		return best, true
 	}
 	p.victimFallbacks++
 	if p.obs.Enabled() {
@@ -613,10 +552,8 @@ func (p *Pool) SetSticky(addr disk.Addr, sticky bool) error {
 	return nil
 }
 
-// FlushPage writes page addr back to disk if it is resident and dirty and
-// marks it clean: one single-page I/O in the paper configuration, a
-// coalesced run covering eligible dirty neighbours under the write-back
-// scheduler.
+// FlushPage writes page addr back to disk (one single-page I/O) if it is
+// resident and dirty, and marks it clean.
 func (p *Pool) FlushPage(addr disk.Addr) error {
 	i, ok := p.index[addr]
 	if !ok {
@@ -626,16 +563,10 @@ func (p *Pool) FlushPage(addr disk.Addr) error {
 	if !f.dirty {
 		return nil
 	}
-	if p.coalesce {
-		if err := p.flushRunAround(addr); err != nil {
-			return err
-		}
-	} else {
-		if err := p.d.Write(addr, 1, p.data(i)); err != nil {
-			return err
-		}
-		f.dirty = false
+	if err := p.d.Write(addr, 1, p.data(i)); err != nil {
+		return err
 	}
+	f.dirty = false
 	if p.obs.Enabled() {
 		p.emit(obs.KindBufFlush, addr, 1)
 	}
@@ -692,14 +623,12 @@ func (p *Pool) Relocate(old, new disk.Addr) error {
 	p.index[new] = i
 	p.frames[i].addr = new
 	p.frames[i].dirty = true
-	p.frames[i].prefetched = false
 	return nil
 }
 
-// FlushAll writes every dirty page back to disk in ascending-address order
-// regardless of index map iteration, so checkpoint I/O is deterministic:
-// one I/O per page in the paper configuration, elevator-ordered coalesced
-// runs under the write-back scheduler.
+// FlushAll writes every dirty page back to disk, one I/O per page, in
+// ascending (area, page) order regardless of index map iteration, so
+// checkpoint I/O is deterministic.
 func (p *Pool) FlushAll() error {
 	p.flushAddrs = p.flushAddrs[:0]
 	for a, i := range p.index {
@@ -707,16 +636,13 @@ func (p *Pool) FlushAll() error {
 			p.flushAddrs = append(p.flushAddrs, a)
 		}
 	}
-	if p.coalesce {
-		p.flushRuns = plan(p.flushAddrs, p.maxRun, p.flushRuns[:0])
-		for _, r := range p.flushRuns {
-			if err := p.flushPlanned(r); err != nil {
-				return err
-			}
+	sort.Slice(p.flushAddrs, func(i, j int) bool {
+		a, b := p.flushAddrs[i], p.flushAddrs[j]
+		if a.Area != b.Area {
+			return a.Area < b.Area
 		}
-		return nil
-	}
-	sortAddrs(p.flushAddrs)
+		return a.Page < b.Page
+	})
 	for _, a := range p.flushAddrs {
 		if err := p.FlushPage(a); err != nil {
 			return err

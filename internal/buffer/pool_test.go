@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lobstore/internal/disk"
+	"lobstore/internal/obs"
 	"lobstore/internal/sim"
 )
 
@@ -344,4 +345,121 @@ func TestUnfixPanicsWhenUnpinned(t *testing.T) {
 		}
 	}()
 	h.Unfix(false)
+}
+
+// dirtyPage fixes page pg, stamps a recognizable pattern and unfixes dirty.
+func dirtyPage(t *testing.T, p *Pool, pg disk.PageID) {
+	t.Helper()
+	h, err := p.FixPage(disk.Addr{Page: pg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range h.Data {
+		h.Data[i] = byte(pg)
+	}
+	h.Unfix(true)
+}
+
+func expectPage(t *testing.T, d *disk.Disk, pg disk.PageID, fill byte) {
+	t.Helper()
+	got := make([]byte, d.PageSize())
+	if err := d.Peek(disk.Addr{Page: pg}, 1, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte{fill}, len(got))) {
+		t.Fatalf("page %d on disk: got %x…, want all %x", pg, got[:4], fill)
+	}
+}
+
+// TestPageAtATimeIO pins the paper's I/O-call accounting (§3.2, §4.1) at
+// the pool: a single-page ascending scan costs one read call per page, and
+// adjacent dirty pages are written back one call each — on eviction and on
+// FlushAll alike — never merged into a run.
+func TestPageAtATimeIO(t *testing.T) {
+	const frames = 8
+	p, d := newPool(t, frames, 4)
+	before := d.Stats()
+	for pg := disk.PageID(100); pg < 116; pg++ {
+		h, err := p.FixPage(disk.Addr{Page: pg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Unfix(false)
+	}
+	if delta := d.Stats().Sub(before); delta.ReadCalls != 16 || delta.PagesRead != 16 {
+		t.Fatalf("16-page scan: %d read calls / %d pages, want 16/16", delta.ReadCalls, delta.PagesRead)
+	}
+
+	// Fill the pool with an adjacent dirty run, then fix as many far pages
+	// and hold them: every miss has only dirty frames to take.
+	for pg := disk.PageID(0); pg < frames; pg++ {
+		dirtyPage(t, p, pg)
+	}
+	before = d.Stats()
+	var held []*Handle
+	for k := 0; k < frames; k++ {
+		h, err := p.FixPage(disk.Addr{Page: disk.PageID(1000 + 7*k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, h)
+	}
+	UnfixAll(held, false)
+	if delta := d.Stats().Sub(before); delta.WriteCalls != frames || delta.PagesWritten != frames {
+		t.Fatalf("evicting %d adjacent dirty pages: %d write calls / %d pages, want %d/%d",
+			frames, delta.WriteCalls, delta.PagesWritten, frames, frames)
+	}
+	for pg := disk.PageID(0); pg < frames; pg++ {
+		expectPage(t, d, pg, byte(pg))
+	}
+
+	for pg := disk.PageID(20); pg < 24; pg++ {
+		dirtyPage(t, p, pg)
+	}
+	before = d.Stats()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if delta := d.Stats().Sub(before); delta.WriteCalls != 4 || delta.PagesWritten != 4 {
+		t.Fatalf("FlushAll of 4 adjacent dirty pages: %d write calls / %d pages, want 4/4",
+			delta.WriteCalls, delta.PagesWritten)
+	}
+}
+
+// traceFlushAll runs one pool through the same dirty set (handed over in
+// the given fix order) and a FlushAll, returning the JSONL trace bytes.
+func traceFlushAll(t *testing.T, order []disk.PageID) []byte {
+	t.Helper()
+	p, d := newPoolCfg(t, Config{Frames: 12, MaxRun: 4})
+	var buf bytes.Buffer
+	d.Tracer().Attach(obs.NewJSONL(&buf))
+	for _, pg := range order {
+		dirtyPage(t, p, pg)
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Tracer().Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestFlushAllTraceDeterministic pins FlushAll's write-back order:
+// ascending address regardless of index-map iteration, so the full event
+// trace of two same-workload runs is byte-identical.
+func TestFlushAllTraceDeterministic(t *testing.T) {
+	pages := []disk.PageID{13, 2, 40, 3, 27, 1, 14, 0}
+	// The fix order is part of the trace prefix, so every trial replays
+	// the same order; only the pool's internal map iteration varies (Go
+	// randomizes it per pool), which is exactly what FlushAll must hide.
+	var first []byte
+	for trial := 0; trial < 5; trial++ {
+		got := traceFlushAll(t, pages)
+		if first == nil {
+			first = got
+		} else if !bytes.Equal(first, got) {
+			t.Fatalf("trial %d trace differs from first", trial)
+		}
+	}
 }

@@ -73,7 +73,7 @@ func (u Utilization) String() string {
 
 // CheckRange validates a byte range against an object size.
 func CheckRange(size, off, n int64) error {
-	if off < 0 || n < 0 || off+n > size {
+	if off < 0 || n < 0 || off > size-n { // not off+n > size: the sum can overflow
 		return fmt.Errorf("range [%d,+%d) of a %d-byte object: %w", off, n, size, ErrOutOfRange)
 	}
 	return nil

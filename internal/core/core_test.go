@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,6 +21,7 @@ func TestCheckRange(t *testing.T) {
 		{100, -1, 10, false},
 		{100, 0, -1, false},
 		{100, 101, 0, false},
+		{100, math.MaxInt64, 10, false},
 		{0, 0, 0, true},
 	}
 	for _, c := range cases {

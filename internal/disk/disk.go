@@ -383,23 +383,6 @@ func (d *Disk) charge(a *areaGeom, addr Addr, npages int, write bool) {
 // Stats returns a snapshot of cumulative disk activity.
 func (d *Disk) Stats() sim.Stats { return d.stats }
 
-// NoteCoalescedRun records that the buffer pool's write-back scheduler
-// merged npages dirty pages into the write call it just issued. Only calls
-// that actually merged (npages >= 2) count.
-func (d *Disk) NoteCoalescedRun(npages int) {
-	if npages >= 2 {
-		d.stats.CoalescedRuns++
-	}
-}
-
-// NotePrefetchRead records one speculative read-ahead call issued by the
-// buffer pool.
-func (d *Disk) NotePrefetchRead() { d.stats.PrefetchReads++ }
-
-// NotePrefetchHits records n prefetched pages that were later served from
-// the pool without a demand read.
-func (d *Disk) NotePrefetchHits(n int) { d.stats.PrefetchHits += int64(n) }
-
 // Peek copies the current on-disk bytes of a page range without performing
 // (or charging) any I/O. It is a debugging/verification aid only and fails
 // when the disk is not materialized.

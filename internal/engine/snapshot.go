@@ -127,7 +127,6 @@ func (s *stripe) ensure(e *Engine) error {
 	if p.Pool.MaxRun > p.Pool.Frames {
 		p.Pool.MaxRun = p.Pool.Frames
 	}
-	p.Pool.Coalesce = false
 	st, err := store.Open(p)
 	if err != nil {
 		return fmt.Errorf("engine: snapshot stripe store: %w", err)

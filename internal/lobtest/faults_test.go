@@ -19,23 +19,11 @@ var errInjected = errors.New("injected disk fault")
 // Each run must either succeed or surface the injected error — never panic,
 // never mis-report success, and never leak a buffer pin: whether the
 // operation completes or unwinds on the fault, every page it fixed must be
-// unfixed again (the dynamic twin of the lobvet fixunfix analyzer). The
-// sweep runs once per write-back mode: the elevator scheduler's coalesced
-// flushes and read-ahead add I/O positions of their own, and a fault
-// landing inside them must unwind just as cleanly.
+// unfixed again (the dynamic twin of the lobvet fixunfix analyzer).
 func sweepFaults(t *testing.T, name string, build func(st *store.Store) (core.Object, error),
 	op func(obj core.Object) error) {
 	t.Helper()
-	for _, coalesce := range []bool{false, true} {
-		sweepFaultsMode(t, name, coalesce, build, op)
-	}
-}
-
-func sweepFaultsMode(t *testing.T, name string, coalesce bool,
-	build func(st *store.Store) (core.Object, error), op func(obj core.Object) error) {
-	t.Helper()
 	params := lobtest.TestParams()
-	params.Pool.Coalesce = coalesce
 	for failAt := int64(0); failAt < 400; failAt++ {
 		st := lobtest.NewStore(t, params)
 		obj, err := build(st)
@@ -56,18 +44,18 @@ func sweepFaultsMode(t *testing.T, name string, coalesce bool,
 		}()
 		st.Disk.FailAfter(-1, nil)
 		if n := st.Pool.PinnedPages(); n != 0 {
-			t.Fatalf("%s (coalesce=%v): %d pages left pinned after fault at I/O %d (err=%v)",
-				name, coalesce, n, failAt, err)
+			t.Fatalf("%s: %d pages left pinned after fault at I/O %d (err=%v)",
+				name, n, failAt, err)
 		}
 		if err == nil {
 			return // fault position beyond the op's I/O count: done
 		}
 		if !errors.Is(err, errInjected) {
-			t.Fatalf("%s (coalesce=%v): fault at I/O %d surfaced wrong error: %v",
-				name, coalesce, failAt, err)
+			t.Fatalf("%s: fault at I/O %d surfaced wrong error: %v",
+				name, failAt, err)
 		}
 	}
-	t.Fatalf("%s (coalesce=%v): operation never completed within the fault sweep", name, coalesce)
+	t.Fatalf("%s: operation never completed within the fault sweep", name)
 }
 
 func buildPayload(obj core.Object, n int) error {

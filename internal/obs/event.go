@@ -93,10 +93,6 @@ const (
 	KindBufEvict
 	KindBufFlush
 	KindBufFetchRun
-	// Write-back scheduler and read-ahead (coalescing mode only).
-	KindBufWriteRun
-	KindBufPrefetch
-	KindBufPrefetchHit
 	// Buddy space manager.
 	KindAlloc
 	KindFree
@@ -124,9 +120,6 @@ var kindNames = [numKinds]string{
 	KindBufEvict:       "buf.evict",
 	KindBufFlush:       "buf.flush",
 	KindBufFetchRun:    "buf.fetchrun",
-	KindBufWriteRun:    "buf.writerun",
-	KindBufPrefetch:    "buf.prefetch",
-	KindBufPrefetchHit: "buf.prefetch.hit",
 	KindAlloc:          "buddy.alloc",
 	KindFree:           "buddy.free",
 	KindSplit:          "buddy.split",
@@ -165,9 +158,6 @@ func ParseKind(s string) (Kind, bool) {
 //	                  pages from the previous head position
 //	io.error          the attempted call; Err carries the injected error
 //	buf.*             Area/Page (Pages on fetchrun = run length)
-//	buf.writerun      Area/Page/Pages of one coalesced write-back call
-//	buf.prefetch      Area/Page/Pages of one speculative read-ahead call
-//	buf.prefetch.hit  Area/Page, Pages = prefetched pages served from cache
 //	buddy.alloc/free  Area/Page/Pages of the segment
 //	buddy.split       Aux1 = order split, Aux2 = resulting order
 //	buddy.coalesce    Aux1 = order merged into

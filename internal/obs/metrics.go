@@ -87,7 +87,6 @@ type Metrics struct {
 	IOSize     *Histogram // pages moved per I/O call
 	Seek       *Histogram // pages of head movement per I/O call
 	Depth      *Histogram // index pages touched per tree descent
-	WriteRun   *Histogram // pages per coalesced write-back call
 	GroupBatch *Histogram // barriers acknowledged per group-commit flush
 	OpLat      [numOps]*Histogram
 	// OpSim/OpWall track span latency percentiles per operation: simulated
@@ -115,7 +114,6 @@ func NewMetrics() *Metrics {
 		IOSize:     NewHistogram("io.size", "pages", ioSizeBounds),
 		Seek:       NewHistogram("io.seek", "pages", seekBounds),
 		Depth:      NewHistogram("tree.descend.depth", "pages", depthBounds),
-		WriteRun:   NewHistogram("buf.writerun.pages", "pages", ioSizeBounds),
 		GroupBatch: NewHistogram("vol.groupcommit.batch", "acks", batchBounds),
 		LockWait:   NewHDR(),
 		EpochHold:  NewHDR(),
@@ -222,15 +220,6 @@ func (m *Metrics) Record(e Event) {
 		m.add("buf.flushes", 1)
 	case KindBufFetchRun:
 		m.add("buf.runfetches", 1)
-	case KindBufWriteRun:
-		m.add("buf.writeruns", 1)
-		m.add("buf.writerun.pages", int64(e.Pages))
-		m.WriteRun.Observe(int64(e.Pages))
-	case KindBufPrefetch:
-		m.add("buf.prefetches", 1)
-		m.add("buf.prefetch.pages", int64(e.Pages))
-	case KindBufPrefetchHit:
-		m.add("buf.prefetch.hits", pagesOr1(e))
 	case KindAlloc:
 		m.add("buddy.allocs", 1)
 		m.add("buddy.alloc.pages", int64(e.Pages))
@@ -332,7 +321,7 @@ func (m *Metrics) WallLatency(op Op) *HDR {
 }
 
 func (m *Metrics) histograms() []*Histogram {
-	hs := []*Histogram{m.IOSize, m.Seek, m.Depth, m.WriteRun, m.GroupBatch}
+	hs := []*Histogram{m.IOSize, m.Seek, m.Depth, m.GroupBatch}
 	for op := Op(0); op < numOps; op++ {
 		if m.created[op] {
 			hs = append(hs, m.OpLat[op])

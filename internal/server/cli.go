@@ -31,10 +31,9 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 		backend   = fs.String("backend", "mem", "byte-storage backend: mem or file")
 		dir       = fs.String("dir", "", "directory of the file-backed database (backend file)")
 		sync      = fs.String("sync", "commit", "file-backend fsync policy: always, commit or never")
-		coalesce  = fs.Bool("coalesce", false, "enable elevator write coalescing and sequential read-ahead")
 		groupMax  = fs.Int("group-commit", 16, "file-backend group commit: max barriers per device flush (<= 1 = groups of one)")
 		groupWait = fs.Duration("group-delay", 0, "file-backend group commit: max wait for a batch to fill")
-		bufPages  = fs.Int("buffer-pages", 0, "buffer pool size in pages (0 = concurrent minimum)")
+		bufPages  = fs.Int("buffer-pages", 256, "buffer pool size in pages (0 = concurrent minimum)")
 		workers   = fs.Int("workers", 0, "request-executing goroutines per connection (0 = default)")
 		chunk     = fs.Int("chunk", 0, "streaming-read frame payload bytes (0 = default 64KiB)")
 	)
@@ -44,7 +43,6 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 
 	cfg := lobstore.DefaultConfig()
 	cfg.Backend, cfg.Dir, cfg.SyncPolicy = *backend, *dir, *sync
-	cfg.Coalesce = *coalesce
 	cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: *groupMax, MaxDelay: *groupWait}
 	// The server requires the concurrency engine; the pool floor is the
 	// engine's documented minimum unless the user asks for more.

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"lobstore"
+	"lobstore/internal/core"
 	"lobstore/internal/obs"
 	"lobstore/internal/wire"
 )
@@ -238,7 +239,11 @@ func (c *servConn) doCreate(t reqTask) {
 // doRead streams the requested range as chunked RespData frames. Each
 // chunk is a separate engine read under the object's shared lock, so a
 // multi-megabyte scan never starves writers; each chunk buffer is pooled
-// and travels untouched from the engine's read into the writev.
+// and travels untouched from the engine's read into the writev. A range
+// longer than one chunk is checked whole before the first frame goes out,
+// so an out-of-range read is answered by RespErr alone, not by every
+// in-range chunk and then the error; a one-chunk read is checked by its
+// engine read.
 func (c *servConn) doRead(t reqTask) {
 	req, err := wire.ParseReadReq(t.body.b)
 	if err != nil {
@@ -256,6 +261,12 @@ func (c *servConn) doRead(t reqTask) {
 	}
 	chunk := c.s.opts.ChunkBytes
 	off, remaining := int64(req.Off), int(req.Len)
+	if remaining > chunk {
+		if err := core.CheckRange(obj.Size(), off, int64(remaining)); err != nil {
+			c.sendErr(t.hdr.ReqID, err)
+			return
+		}
+	}
 	for remaining > 0 {
 		n := remaining
 		if n > chunk {

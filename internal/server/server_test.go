@@ -249,6 +249,30 @@ func TestServeStreamedRead(t *testing.T) {
 	}
 }
 
+// TestServeReadPastEndSendsNoData pins that a multi-chunk read reaching past
+// the end of the object is refused before anything is streamed: the only
+// frame of the response is the RespErr.
+func TestServeReadPastEndSendsNoData(t *testing.T) {
+	db := testDB(t)
+	defer db.Close()
+	_, addr := startServer(t, db, Options{})
+	c := dialClient(t, addr)
+
+	name := []byte("short")
+	c.mustOK(wire.OpCreate, wire.AppendCreateReq(nil, wire.CreateReq{Name: name, Engine: wire.EngineEOS, Param: 16}))
+	c.mustOK(wire.OpAppend, wire.AppendAppendReq(nil, wire.AppendReqMsg{Name: name, Data: make([]byte, 256<<10)}))
+
+	id := c.send(wire.OpRead, wire.AppendReadReq(nil, wire.ReadReq{Name: name, Off: 0, Len: 1 << 20}))
+	h, body := c.recv()
+	if h.ReqID != id || h.Type != wire.RespErr || !h.Last() {
+		t.Fatalf("first frame of an out-of-range 1 MB read: header %+v, want a final RespErr", h)
+	}
+	if len(body) == 0 {
+		t.Fatal("empty error message")
+	}
+	c.mustOK(wire.OpPing, nil)
+}
+
 // TestServePipelining floods one socket with interleaved reads and
 // appends without waiting for responses, then checks every request got
 // exactly one (complete) response with its own id and correct contents.

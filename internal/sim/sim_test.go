@@ -118,9 +118,8 @@ func TestStatsAddSub(t *testing.T) {
 }
 
 func TestStatsCSV(t *testing.T) {
-	s := Stats{ReadCalls: 3, WriteCalls: 2, PagesRead: 10, PagesWritten: 7, SeekDistance: 50, Time: 100,
-		CoalescedRuns: 2, PrefetchReads: 1, PrefetchHits: 4}
-	if got, want := s.CSV(), "3,2,10,7,50,100,2,1,4"; got != want {
+	s := Stats{ReadCalls: 3, WriteCalls: 2, PagesRead: 10, PagesWritten: 7, SeekDistance: 50, Time: 100}
+	if got, want := s.CSV(), "3,2,10,7,50,100"; got != want {
 		t.Errorf("CSV() = %q, want %q", got, want)
 	}
 	header := CSVHeader()
@@ -131,7 +130,7 @@ func TestStatsCSV(t *testing.T) {
 	if got := s.String(); !strings.HasPrefix(got, "ios=5 (r=3 w=2) pages=17 (r=10 w=7)") {
 		t.Errorf("String() = %q changed shape", got)
 	}
-	if (Stats{}).CSV() != "0,0,0,0,0,0,0,0,0" {
+	if (Stats{}).CSV() != "0,0,0,0,0,0" {
 		t.Errorf("zero CSV = %q", (Stats{}).CSV())
 	}
 }

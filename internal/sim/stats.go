@@ -17,11 +17,6 @@ type Stats struct {
 	// hides.
 	SeekDistance int64
 	Time         Duration
-	// Write-back scheduler activity (all zero unless coalescing is enabled;
-	// the paper's reproduction runs keep per-page write-back).
-	CoalescedRuns int64 // write calls that merged >= 2 dirty pages into one run
-	PrefetchReads int64 // speculative read-ahead calls issued
-	PrefetchHits  int64 // prefetched pages later served from the pool
 }
 
 // Calls returns the total number of I/O calls (= seeks).
@@ -38,23 +33,17 @@ func (s *Stats) Add(o Stats) {
 	s.PagesWritten += o.PagesWritten
 	s.SeekDistance += o.SeekDistance
 	s.Time += o.Time
-	s.CoalescedRuns += o.CoalescedRuns
-	s.PrefetchReads += o.PrefetchReads
-	s.PrefetchHits += o.PrefetchHits
 }
 
 // Sub returns the difference s − o, useful for per-operation deltas.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		ReadCalls:     s.ReadCalls - o.ReadCalls,
-		WriteCalls:    s.WriteCalls - o.WriteCalls,
-		PagesRead:     s.PagesRead - o.PagesRead,
-		PagesWritten:  s.PagesWritten - o.PagesWritten,
-		SeekDistance:  s.SeekDistance - o.SeekDistance,
-		Time:          s.Time - o.Time,
-		CoalescedRuns: s.CoalescedRuns - o.CoalescedRuns,
-		PrefetchReads: s.PrefetchReads - o.PrefetchReads,
-		PrefetchHits:  s.PrefetchHits - o.PrefetchHits,
+		ReadCalls:    s.ReadCalls - o.ReadCalls,
+		WriteCalls:   s.WriteCalls - o.WriteCalls,
+		PagesRead:    s.PagesRead - o.PagesRead,
+		PagesWritten: s.PagesWritten - o.PagesWritten,
+		SeekDistance: s.SeekDistance - o.SeekDistance,
+		Time:         s.Time - o.Time,
 	}
 }
 
@@ -66,15 +55,13 @@ func (s Stats) String() string {
 
 // CSVHeader returns the column names matching CSV.
 func CSVHeader() string {
-	return "read_calls,write_calls,pages_read,pages_written,seek_distance_pages,time_us," +
-		"coalesced_runs,prefetch_reads,prefetch_hits"
+	return "read_calls,write_calls,pages_read,pages_written,seek_distance_pages,time_us"
 }
 
 // CSV returns the stats as one comma-separated row (see CSVHeader), so
 // result files can carry the locality tally alongside the paper's totals.
 func (s Stats) CSV() string {
-	return fmt.Sprintf("%d,%d,%d,%d,%d,%d,%d,%d,%d",
+	return fmt.Sprintf("%d,%d,%d,%d,%d,%d",
 		s.ReadCalls, s.WriteCalls, s.PagesRead, s.PagesWritten,
-		s.SeekDistance, int64(s.Time),
-		s.CoalescedRuns, s.PrefetchReads, s.PrefetchHits)
+		s.SeekDistance, int64(s.Time))
 }

@@ -282,13 +282,6 @@ func (s *Store) EndOp() error {
 	if o.depth > 0 {
 		return nil
 	}
-	// With write coalescing enabled, drain the pool's unprotected dirty
-	// backlog as elevator-ordered runs so the barrier syncs a few large
-	// sequential writes instead of leaving them to later one-page
-	// evictions. A no-op in the paper configuration.
-	if err := s.Pool.FlushBarrier(); err != nil {
-		return err
-	}
 	if err := s.Disk.Barrier(); err != nil {
 		return err
 	}

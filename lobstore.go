@@ -93,16 +93,6 @@ type Config struct {
 	// MaxSegmentPages is the largest allocatable segment; must be a power
 	// of two (paper: 8192 pages = 32 MB with 4 KB blocks).
 	MaxSegmentPages int
-	// Coalesce enables the buffer pool's elevator write-coalescing flush
-	// scheduler and sequential read-ahead: dirty write-back merges
-	// physically adjacent pages into single multi-page I/O calls (capped
-	// at MaxBufferedRun) in ascending-address order, and ascending scans
-	// prefetch the next run into free frames. Off by default: the paper
-	// charges one I/O call per dirty page written back, so reproduction
-	// runs must leave this unset. The flag is not stored in a file-backed
-	// database's superblock — it is an I/O scheduling choice, not
-	// geometry — so each opening decides it independently.
-	Coalesce bool
 	// Materialize stores every byte written so that reads return real
 	// data. Disable only for very large cost-only experiments.
 	Materialize bool
@@ -130,8 +120,8 @@ type Config struct {
 	// GroupCommit configures the file backend's commit pipeline, which
 	// every durability barrier runs: up to MaxBatch concurrent commit
 	// barriers are acknowledged by one device flush. Zero value = groups
-	// of one, each barrier flushing for itself. Like Coalesce it is a
-	// per-opening I/O scheduling choice, not superblock geometry. Ignored
+	// of one, each barrier flushing for itself. It is a per-opening
+	// I/O scheduling choice, not superblock geometry. Ignored
 	// by the mem backend.
 	GroupCommit GroupCommit
 	// Concurrent serves the database through the concurrency engine
@@ -141,7 +131,7 @@ type Config struct {
 	// shadowing. Requires Materialize. Off by default — and with it off,
 	// every code path, trace and paper table is byte-identical to a build
 	// without the engine; the simulation stays single-threaded and
-	// deterministic. Like Coalesce it is a per-opening choice, not
+	// deterministic. Like GroupCommit it is a per-opening choice, not
 	// superblock geometry. Size BufferPages generously: every committer
 	// parked at a durability barrier keeps its dirty pages sticky
 	// (shadow-protected) in the shared pool, so the paper's 12-frame
@@ -194,13 +184,6 @@ type Stats struct {
 	SeekDistance int64
 	// Time is the simulated time the I/O took.
 	Time time.Duration
-	// CoalescedRuns counts write calls that merged >= 2 dirty pages,
-	// PrefetchReads the speculative read-ahead calls, and PrefetchHits the
-	// prefetched pages later served from the pool. All zero unless the
-	// database was opened with Config.Coalesce.
-	CoalescedRuns int64
-	PrefetchReads int64
-	PrefetchHits  int64
 }
 
 // Calls returns the total number of I/O calls, each costing one seek.
@@ -212,29 +195,23 @@ func (s Stats) Pages() int64 { return s.PagesRead + s.PagesWritten }
 // Sub returns the component-wise difference s − o.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		ReadCalls:     s.ReadCalls - o.ReadCalls,
-		WriteCalls:    s.WriteCalls - o.WriteCalls,
-		PagesRead:     s.PagesRead - o.PagesRead,
-		PagesWritten:  s.PagesWritten - o.PagesWritten,
-		SeekDistance:  s.SeekDistance - o.SeekDistance,
-		Time:          s.Time - o.Time,
-		CoalescedRuns: s.CoalescedRuns - o.CoalescedRuns,
-		PrefetchReads: s.PrefetchReads - o.PrefetchReads,
-		PrefetchHits:  s.PrefetchHits - o.PrefetchHits,
+		ReadCalls:    s.ReadCalls - o.ReadCalls,
+		WriteCalls:   s.WriteCalls - o.WriteCalls,
+		PagesRead:    s.PagesRead - o.PagesRead,
+		PagesWritten: s.PagesWritten - o.PagesWritten,
+		SeekDistance: s.SeekDistance - o.SeekDistance,
+		Time:         s.Time - o.Time,
 	}
 }
 
 func fromSim(st sim.Stats) Stats {
 	return Stats{
-		ReadCalls:     st.ReadCalls,
-		WriteCalls:    st.WriteCalls,
-		PagesRead:     st.PagesRead,
-		PagesWritten:  st.PagesWritten,
-		SeekDistance:  st.SeekDistance,
-		Time:          st.Time.Std(),
-		CoalescedRuns: st.CoalescedRuns,
-		PrefetchReads: st.PrefetchReads,
-		PrefetchHits:  st.PrefetchHits,
+		ReadCalls:    st.ReadCalls,
+		WriteCalls:   st.WriteCalls,
+		PagesRead:    st.PagesRead,
+		PagesWritten: st.PagesWritten,
+		SeekDistance: st.SeekDistance,
+		Time:         st.Time.Std(),
 	}
 }
 
@@ -269,7 +246,7 @@ func storeParams(cfg Config) store.Params {
 			SeekTime:      sim.Duration(cfg.SeekTime.Microseconds()),
 			TransferPerKB: sim.Duration(cfg.TransferPerKB.Microseconds()),
 		},
-		Pool:          buffer.Config{Frames: cfg.BufferPages, MaxRun: cfg.MaxBufferedRun, Coalesce: cfg.Coalesce},
+		Pool:          buffer.Config{Frames: cfg.BufferPages, MaxRun: cfg.MaxBufferedRun},
 		LeafAreaPages: cfg.LeafAreaPages,
 		MetaAreaPages: cfg.MetaAreaPages,
 		MaxOrder:      uint(bits.TrailingZeros(uint(cfg.MaxSegmentPages))),
