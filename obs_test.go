@@ -6,8 +6,11 @@ package lobstore_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
+	"time"
 
 	"lobstore"
 	"lobstore/internal/obs"
@@ -202,6 +205,79 @@ func TestOffModeTraceUnchanged(t *testing.T) {
 		if n := m.Counter(c); n != 0 {
 			t.Fatalf("off-mode metrics: %s = %d, want 0", c, n)
 		}
+	}
+}
+
+// TestTraceDigestPinned pins each manager's I/O to the byte across builds,
+// not just across two runs of one build: a fixed operation sequence on the
+// memory backend must produce a JSONL trace with a known SHA-256 and known
+// disk totals. A change that reorders, adds or drops one I/O anywhere on
+// these paths fails here; a deliberate behaviour change updates the
+// constants and says why.
+func TestTraceDigestPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec   lobstore.ObjectSpec
+		digest string
+		stats  lobstore.Stats
+	}{
+		{lobstore.ObjectSpec{Engine: "esm", LeafPages: 4},
+			"9ed9ffcc6d322129470260b5731a79f3963735972f57d3c4665888059d56f388",
+			lobstore.Stats{ReadCalls: 14, WriteCalls: 25, PagesRead: 46, PagesWritten: 78, SeekDistance: 37590, Time: 1783 * time.Millisecond}},
+		{lobstore.ObjectSpec{Engine: "eos", Threshold: 4},
+			"5e0dd5d259ced11aaca93d437beb27ca9e6b137bc4ba791eab35c40f7bced1e8",
+			lobstore.Stats{ReadCalls: 17, WriteCalls: 19, PagesRead: 48, PagesWritten: 80, SeekDistance: 37596, Time: 1700 * time.Millisecond}},
+		{lobstore.ObjectSpec{Engine: "starburst"},
+			"99e8c9b53f9094dafaabbc1ba39c187b46d879f49837b86e3ea3ea3a16b4e058",
+			lobstore.Stats{ReadCalls: 21, WriteCalls: 17, PagesRead: 189, PagesWritten: 219, SeekDistance: 37754, Time: 2886 * time.Millisecond}},
+	} {
+		t.Run(c.spec.Engine, func(t *testing.T) {
+			db, err := lobstore.Open(testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var trace bytes.Buffer
+			db.EnableTrace(&trace)
+			data := make([]byte, 200<<10)
+			for i := range data {
+				data[i] = byte(i * 7)
+			}
+			buf := make([]byte, 64<<10)
+			obj, err := db.Create("pinned", c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, step := range []func() error{
+				func() error { return obj.Append(data) },
+				func() error { return obj.Insert(1000, data[:30<<10]) },
+				func() error { return obj.Read(2000, buf) },
+				func() error { return obj.Replace(5000, data[:10<<10]) },
+				func() error { return obj.Delete(500, 50<<10) },
+				obj.Close,
+			} {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if obj, err = db.OpenObject("pinned"); err != nil {
+				t.Fatal(err)
+			}
+			if err := obj.Read(7000, buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := obj.Destroy(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.FlushTrace(); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(trace.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != c.digest {
+				t.Errorf("trace digest %s, pinned %s", got, c.digest)
+			}
+			if got := db.Stats(); got != c.stats {
+				t.Errorf("disk totals %#v, pinned %#v", got, c.stats)
+			}
+		})
 	}
 }
 
