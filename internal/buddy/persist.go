@@ -83,8 +83,8 @@ func (a *Allocator) decodeDirectory(base disk.PageID, page []byte) (*space, erro
 var errNoDirectory = fmt.Errorf("buddy: no directory at this location")
 
 // Flush writes every dirty directory block back to disk (one I/O each),
-// persisting the full allocation state. A database image saved after Flush
-// can be reopened with Open.
+// persisting the full allocation state. Once the writes are durable, the
+// area can be reopened with Open.
 func (a *Allocator) Flush() error {
 	buf := make([]byte, a.d.PageSize())
 	for _, s := range a.spaces {

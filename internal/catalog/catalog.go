@@ -1,6 +1,6 @@
 // Package catalog implements a minimal persistent directory of named large
-// objects: the glue that lets a reopened database image find its objects
-// again. Entries map a name to the owning manager kind and the object's
+// objects: the glue that lets a reopened file-backed store find its
+// objects again. Entries map a name to the owning manager kind and the object's
 // durable root page (tree root for ESM/EOS, descriptor page for
 // Starburst).
 //

@@ -32,12 +32,16 @@ type Config struct {
 	MaxSegmentPages int
 }
 
-// Object is one EOS large object.
+// Object is one EOS large object. The shared tree-object shell supplies
+// Size, Root, Read, Layout, Utilization and MarkPages; this package adds
+// the variable-size segment policy and the update algorithms of §2.3.
 type Object struct {
-	st  *store.Store
-	cfg Config
-
+	postree.Object
+	// st and tree are the shell's store and tree, for the update code.
+	st   *store.Store
 	tree *postree.Tree
+	cfg  Config
+
 	// rightPtr/rightAlloc track the growth-pattern over-allocation of the
 	// rightmost segment; every other segment occupies exactly
 	// ceil(bytes/pageSize) pages.
@@ -46,10 +50,6 @@ type Object struct {
 	nextPages  int // next allocation size in the doubling pattern
 
 	dataPages int64 // running count of allocated data pages
-
-	// pathBuf is readOp's descent-path scratch. Operations on one object
-	// are serialized by the engine, so reuse is safe.
-	pathBuf postree.Path
 }
 
 var _ core.Object = (*Object)(nil)
@@ -78,18 +78,28 @@ func create(st *store.Store, cfg Config) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &Object{st: st, cfg: cfg, tree: t}
+	o := attach(st, t, cfg)
 	if err := o.writeAnnotation(); err != nil {
 		return nil, err
 	}
 	return o, nil
 }
 
-// Size returns the object length in bytes.
-func (o *Object) Size() int64 { return o.tree.Size() }
-
-// Tree exposes the underlying positional tree for tests and inspection.
-func (o *Object) Tree() *postree.Tree { return o.tree }
+// attach binds a tree to the variable-size segment policy: a segment
+// occupies ceil(bytes/pageSize) pages, except the rightmost while it
+// carries growth-pattern slack. Only the last page of each segment may
+// have unused space, so larger segments mean better utilization (§4.4.1).
+func attach(st *store.Store, t *postree.Tree, cfg Config) *Object {
+	o := &Object{st: st, tree: t, cfg: cfg}
+	o.Object = postree.NewObject(t, postree.Leaves{
+		Pages: o.segPages,
+		ReadRange: func(e postree.Entry, off int64, dst []byte) error {
+			return st.ReadRange(o.seg(e), off, dst)
+		},
+		DataPages: func() int64 { return o.dataPages },
+	})
+	return o
+}
 
 // pagesFor returns the pages needed to hold n densely packed bytes.
 func (o *Object) pagesFor(n int64) int {
@@ -135,17 +145,6 @@ func (o *Object) trimSeg(seg store.Segment, keep int) (store.Segment, error) {
 	return trimmed, nil
 }
 
-// writeFresh writes data into a brand-new segment, one sequential I/O over
-// exactly the pages that hold data.
-func (o *Object) writeFresh(seg store.Segment, data []byte) error {
-	ps := o.st.PageSize()
-	npages := (len(data) + ps - 1) / ps
-	buf := o.st.Scratch(npages * ps)
-	copy(buf, data)
-	clear(buf[len(data):])
-	return o.st.WritePages(seg.Addr, npages, buf)
-}
-
 // readEntry fetches a byte range of a leaf segment.
 func (o *Object) readEntry(e postree.Entry, off, n int64) ([]byte, error) {
 	buf := make([]byte, n)
@@ -153,54 +152,6 @@ func (o *Object) readEntry(e postree.Entry, off, n int64) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// Read fills dst with the bytes at [off, off+len(dst)).
-func (o *Object) Read(off int64, dst []byte) error {
-	sp := o.st.Obs.Begin(obs.OpRead)
-	err := o.readOp(off, dst)
-	o.st.Obs.End(sp, err)
-	return err
-}
-
-func (o *Object) readOp(off int64, dst []byte) error {
-	if err := core.CheckRange(o.Size(), off, int64(len(dst))); err != nil {
-		return err
-	}
-	if len(dst) == 0 {
-		return nil
-	}
-	e, start, path, err := o.tree.FindInto(off, o.pathBuf)
-	if err != nil {
-		return err
-	}
-	o.pathBuf = path[:0] // keep the backing array for the next read
-	pos := off
-	for len(dst) > 0 {
-		offIn := pos - start
-		take := e.Bytes - offIn
-		if take > int64(len(dst)) {
-			take = int64(len(dst))
-		}
-		if err := o.st.ReadRange(o.seg(e), offIn, dst[:take]); err != nil {
-			return err
-		}
-		dst = dst[take:]
-		pos += take
-		if len(dst) == 0 {
-			break
-		}
-		start += e.Bytes
-		var ok bool
-		e, path, ok, err = o.tree.NextLeafInPlace(path)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("eos: ran out of segments at offset %d", pos)
-		}
-	}
-	return nil
 }
 
 // Append adds data at the end of the object: fill the free space of the
@@ -244,7 +195,7 @@ func (o *Object) appendOp(data []byte) error {
 		if take > int64(len(rest)) {
 			take = int64(len(rest))
 		}
-		if err := o.writeFresh(seg, rest[:take]); err != nil {
+		if err := o.st.WriteFresh(seg.Addr, rest[:take]); err != nil {
 			return err
 		}
 		if err := o.tree.AppendLeaves([]postree.Entry{{Bytes: take, Ptr: uint32(seg.Addr.Page)}}); err != nil {
@@ -305,91 +256,49 @@ func (o *Object) normalizeRight() error {
 	return nil
 }
 
-// Close trims the rightmost segment's unused pages.
-func (o *Object) closeOp() error {
-	if err := o.normalizeRight(); err != nil {
-		return err
-	}
-	return o.tree.FlushOp()
+// Append adds data at the end of the object.
+func (o *Object) Append(data []byte) error {
+	return o.st.Op(obs.OpAppend, func() error { return o.appendOp(data) })
 }
 
-// Utilization reports the disk footprint: only the last page of each
-// segment may have unused space, so larger segments mean better utilization
-// (§4.4.1).
-func (o *Object) Utilization() core.Utilization {
-	return core.Utilization{
-		ObjectBytes: o.Size(),
-		DataPages:   o.dataPages,
-		IndexPages:  int64(o.tree.IndexPages()),
-		PageSize:    o.st.PageSize(),
-	}
+// Insert adds data before the byte at off.
+func (o *Object) Insert(off int64, data []byte) error {
+	return o.st.Op(obs.OpInsert, func() error { return o.insertOp(off, data) })
+}
+
+// Delete removes the n bytes at [off, off+n).
+func (o *Object) Delete(off, n int64) error {
+	return o.st.Op(obs.OpDelete, func() error { return o.deleteOp(off, n) })
+}
+
+// Replace overwrites the bytes at [off, off+len(data)).
+func (o *Object) Replace(off int64, data []byte) error {
+	return o.st.Op(obs.OpReplace, func() error { return o.replaceOp(off, data) })
+}
+
+// Close trims the rightmost segment's unused pages.
+func (o *Object) Close() error {
+	return o.st.Op(obs.OpClose, func() error {
+		if err := o.normalizeRight(); err != nil {
+			return err
+		}
+		return o.tree.FlushOp()
+	})
 }
 
 // Destroy releases every segment and index page.
-func (o *Object) destroyOp() error {
-	if err := o.normalizeRight(); err != nil {
-		return err
-	}
-	return o.tree.Destroy(func(e postree.Entry) error {
-		return o.freeSeg(o.st.LeafSegment(e.Ptr, o.pagesFor(e.Bytes)))
-	})
-}
-
-// SegmentSizes returns (pages, bytes) of each segment in object order.
-// Testing and inspection aid.
-func (o *Object) SegmentSizes() ([][2]int64, error) {
-	var out [][2]int64
-	err := o.tree.Walk(func(e postree.Entry) bool {
-		out = append(out, [2]int64{int64(o.segPages(e)), e.Bytes})
-		return true
-	})
-	return out, err
-}
-
-// CheckInvariants validates the tree plus the EOS segment rules: dense
-// packing (pages == ceil(bytes/pageSize), rightmost may over-allocate along
-// the growth pattern) and the bookkeeping counters.
-func (o *Object) CheckInvariants() error {
-	if err := o.tree.CheckInvariants(); err != nil {
-		return err
-	}
-	var pages int64
-	var last postree.Entry
-	err := o.tree.Walk(func(e postree.Entry) bool {
-		pages += int64(o.segPages(e))
-		last = e
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if pages != o.dataPages {
-		return fmt.Errorf("eos: data page counter %d, segments hold %d", o.dataPages, pages)
-	}
-	if o.rightAlloc > 0 && o.tree.LeafCount() > 0 && last.Ptr == o.rightPtr {
-		if o.rightAlloc < o.pagesFor(last.Bytes) {
-			return fmt.Errorf("eos: rightmost under-allocated: %d pages for %d bytes", o.rightAlloc, last.Bytes)
+func (o *Object) Destroy() error {
+	return o.st.Op(obs.OpDestroy, func() error {
+		if err := o.normalizeRight(); err != nil {
+			return err
 		}
-	}
-	return nil
+		return o.tree.Destroy(func(e postree.Entry) error { return o.freeSeg(o.seg(e)) })
+	})
 }
 
-// Layout reports the object's physical structure: every variable-size
-// segment in byte order plus the index page count.
-func (o *Object) Layout() (core.Layout, error) {
-	l := core.Layout{
-		IndexPages:  o.tree.IndexPages(),
-		IndexLevels: o.tree.Height(),
-	}
-	err := o.tree.Walk(func(e postree.Entry) bool {
-		l.Segments = append(l.Segments, core.SegmentInfo{
-			StartPage: e.Ptr,
-			Pages:     o.segPages(e),
-			Bytes:     e.Bytes,
-		})
-		return true
-	})
-	return l, err
-}
+// CheckInvariants validates the tree and the segment page accounting: no
+// segment, the over-allocated rightmost included, holds more bytes than
+// its pages, and the pages add up to the data page counter.
+func (o *Object) CheckInvariants() error { return o.CheckTree(nil) }
 
 var _ core.Inspector = (*Object)(nil)

@@ -27,6 +27,16 @@ func harness(t *testing.T, cfg Config, seed int64) (*lobtest.Harness, *Object, *
 	return h, o, st
 }
 
+// segmentSizes returns (pages, bytes) of each segment in object order.
+func segmentSizes(o *Object) ([][2]int64, error) {
+	l, err := o.Layout()
+	sizes := make([][2]int64, len(l.Segments))
+	for i, s := range l.Segments {
+		sizes[i] = [2]int64{int64(s.Pages), s.Bytes}
+	}
+	return sizes, err
+}
+
 func TestConfigValidation(t *testing.T) {
 	st := lobtest.NewStore(t, lobtest.TestParams())
 	if _, err := New(st, Config{Threshold: 0}); err == nil {
@@ -46,7 +56,7 @@ func TestAppendGrowthPattern(t *testing.T) {
 		h.Append(4096)
 	}
 	h.FullCheck()
-	sizes, err := o.SegmentSizes()
+	sizes, err := segmentSizes(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +79,7 @@ func TestDensePacking(t *testing.T) {
 	h.Append(100000)
 	h.Insert(50000, 18800) // 4.58 pages of new data → 5-page segment
 	h.FullCheck()
-	sizes, err := o.SegmentSizes()
+	sizes, err := segmentSizes(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +124,7 @@ func TestThresholdMergesSmallSegments(t *testing.T) {
 	const insertAt = 10*4096 + 100
 	h.Insert(insertAt, 200) // tiny insert mid-segment
 	h.FullCheck()
-	sizes, err := o.SegmentSizes()
+	sizes, err := segmentSizes(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +158,7 @@ func TestThresholdOneNeverMerges(t *testing.T) {
 	if err := o.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before, err := o.SegmentSizes()
+	before, err := segmentSizes(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +169,7 @@ func TestThresholdOneNeverMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := o.SegmentSizes()
+	after, err := segmentSizes(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +234,13 @@ func TestDeleteSpansSegments(t *testing.T) {
 func TestReplaceShadowsSegments(t *testing.T) {
 	h, o, _ := harness(t, Config{Threshold: 4, MaxSegmentPages: 16}, 9)
 	h.Append(200000)
-	before, err := o.SegmentSizes()
+	before, err := segmentSizes(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Replace(50000, 30000)
 	h.FullCheck()
-	after, err := o.SegmentSizes()
+	after, err := segmentSizes(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,25 +21,16 @@ func (o *Object) writeAnnotation() error {
 	return o.tree.SetAnnotation(ann[:])
 }
 
-// Root returns the address of the object's root page — the durable handle
-// an owner (catalog, record) stores to reopen the object later.
-func (o *Object) Root() disk.Addr { return o.tree.Root() }
-
-// Open reattaches to an EOS object previously created in this store (or in
-// a reopened database image). An object must have been Closed before its
-// database was saved, so the rightmost segment carries no growth-pattern
-// slack; the doubling pattern resumes from the last segment's size.
+// Open reattaches to an EOS object previously created in this store or in
+// an earlier session of the same file-backed store. The root records no
+// growth-pattern slack, so every segment, the rightmost included, is taken
+// to occupy exactly ceil(bytes/pageSize) pages (reopen-time recovery marks
+// only those, returning the slack of an unclosed object to the buddy
+// system); the doubling pattern resumes from the last segment's size.
 func Open(st *store.Store, root disk.Addr) (*Object, error) {
-	t, err := postree.Open(st, root)
+	t, ann, err := postree.OpenAnnotated(st, root, annKindEOS)
 	if err != nil {
 		return nil, err
-	}
-	ann, err := t.Annotation()
-	if err != nil {
-		return nil, err
-	}
-	if ann[0] != annKindEOS {
-		return nil, fmt.Errorf("eos: root %v belongs to manager %q", root, ann[0])
 	}
 	cfg := Config{
 		Threshold:       int(binary.LittleEndian.Uint32(ann[4:])),
@@ -50,38 +41,19 @@ func Open(st *store.Store, root disk.Addr) (*Object, error) {
 		return nil, fmt.Errorf("eos: reopened object has threshold %d / max segment %d",
 			cfg.Threshold, cfg.MaxSegmentPages)
 	}
-	o := &Object{st: st, cfg: cfg, tree: t}
+	o := attach(st, t, cfg)
 	// Rebuild the data page counter and the growth pattern state.
-	var lastBytes int64
-	err = t.Walk(func(e postree.Entry) bool {
-		o.dataPages += int64(o.pagesFor(e.Bytes))
-		lastBytes = e.Bytes
-		return true
-	})
+	l, err := o.Layout()
 	if err != nil {
 		return nil, err
 	}
-	if lastBytes > 0 {
-		o.advancePattern(o.pagesFor(lastBytes))
+	for _, s := range l.Segments {
+		o.dataPages += int64(s.Pages)
+	}
+	if n := len(l.Segments); n > 0 {
+		o.advancePattern(l.Segments[n-1].Pages)
 	}
 	return o, nil
-}
-
-// MarkPages reports every page the object occupies — index pages plus each
-// segment's allocated extent — for shadow recovery.
-func (o *Object) MarkPages(mark func(addr disk.Addr, pages int) error) error {
-	if err := o.tree.MarkPages(mark); err != nil {
-		return err
-	}
-	var inner error
-	err := o.tree.Walk(func(e postree.Entry) bool {
-		inner = mark(o.seg(e).Addr, o.segPages(e))
-		return inner == nil
-	})
-	if err != nil {
-		return err
-	}
-	return inner
 }
 
 var _ core.PageMarker = (*Object)(nil)

@@ -98,14 +98,11 @@ func (o *Object) writeData(data []byte) ([]postree.Entry, error) {
 		if n > maxBytes {
 			n = maxBytes
 		}
-		seg, err := o.allocSeg(o.pagesFor(int64(n)))
+		e, err := o.repack(data[:n])
 		if err != nil {
 			return nil, err
 		}
-		if err := o.writeFresh(seg, data[:n]); err != nil {
-			return nil, err
-		}
-		out = append(out, postree.Entry{Bytes: int64(n), Ptr: uint32(seg.Addr.Page)})
+		out = append(out, e)
 		data = data[n:]
 	}
 	return out, nil
@@ -214,7 +211,7 @@ func (o *Object) repack(data []byte) (postree.Entry, error) {
 	if err != nil {
 		return postree.Entry{}, err
 	}
-	if err := o.writeFresh(seg, data); err != nil {
+	if err := o.st.WriteFresh(seg.Addr, data); err != nil {
 		return postree.Entry{}, err
 	}
 	return postree.Entry{Bytes: int64(len(data)), Ptr: uint32(seg.Addr.Page)}, nil

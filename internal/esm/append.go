@@ -123,16 +123,9 @@ func (o *Object) appendOp(data []byte) error {
 
 // appendFresh builds the initial leaves of an empty object.
 func (o *Object) appendFresh(data []byte) error {
-	pieces := appendLayout(int64(len(data)), o.leafCap)
-	entries := make([]postree.Entry, 0, len(pieces))
-	pos := int64(0)
-	for _, sz := range pieces {
-		e, err := o.allocLeaf(data[pos : pos+sz])
-		if err != nil {
-			return err
-		}
-		entries = append(entries, e)
-		pos += sz
+	entries, err := o.writePieces(data, appendLayout(int64(len(data)), o.leafCap))
+	if err != nil {
+		return err
 	}
 	return o.tree.AppendLeaves(entries)
 }

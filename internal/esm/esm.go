@@ -52,16 +52,17 @@ type Config struct {
 	NoShadow bool
 }
 
-// Object is one ESM large object.
+// Object is one ESM large object. The shared tree-object shell supplies
+// Size, Root, Read, Layout, Utilization and MarkPages; this package adds
+// the fixed-size leaf policy and the update algorithms of §3.4.
 type Object struct {
+	postree.Object
+	// st and tree are the shell's store and tree, for the update code.
 	st       *store.Store
 	tree     *postree.Tree
 	cfg      Config
 	leafCap  int64  // leaf capacity in bytes
 	wholeBuf []byte // staging buffer for the WholeLeafIO ablation
-	// pathBuf is readOp's descent-path scratch. Operations on one object
-	// are serialized by the engine, so reuse is safe.
-	pathBuf postree.Path
 }
 
 var _ core.Object = (*Object)(nil)
@@ -86,23 +87,27 @@ func create(st *store.Store, cfg Config) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &Object{
-		st:      st,
-		tree:    t,
-		cfg:     cfg,
-		leafCap: int64(cfg.LeafPages) * int64(st.PageSize()),
-	}
+	o := attach(st, t, cfg)
 	if err := o.writeAnnotation(); err != nil {
 		return nil, err
 	}
 	return o, nil
 }
 
-// Size returns the object length in bytes.
-func (o *Object) Size() int64 { return o.tree.Size() }
-
-// Tree exposes the underlying positional tree for tests and inspection.
-func (o *Object) Tree() *postree.Tree { return o.tree }
+// attach binds a tree to the fixed-size leaf policy: every leaf
+// occupies LeafPages pages however many bytes it holds.
+func attach(st *store.Store, t *postree.Tree, cfg Config) *Object {
+	o := &Object{st: st, tree: t, cfg: cfg, leafCap: int64(cfg.LeafPages) * int64(st.PageSize())}
+	o.Object = postree.NewObject(t, postree.Leaves{
+		Pages:     func(postree.Entry) int { return cfg.LeafPages },
+		ReadRange: o.readRange,
+		// Every leaf occupies its full fixed size regardless of how many
+		// useful bytes it holds — the root cause of ESM's utilization/leaf
+		// size trade-off (§4.4.1).
+		DataPages: func() int64 { return int64(t.LeafCount()) * int64(cfg.LeafPages) },
+	})
+	return o
+}
 
 // seg reconstructs the fixed-size segment behind a leaf entry.
 func (o *Object) seg(e postree.Entry) store.Segment {
@@ -147,12 +152,7 @@ func (o *Object) allocLeaf(data []byte) (postree.Entry, error) {
 	if err != nil {
 		return postree.Entry{}, err
 	}
-	ps := o.st.PageSize()
-	npages := (len(data) + ps - 1) / ps
-	buf := o.st.Scratch(npages * ps)
-	copy(buf, data)
-	clear(buf[len(data):])
-	if err := o.st.WritePages(seg.Addr, npages, buf); err != nil {
+	if err := o.st.WriteFresh(seg.Addr, data); err != nil {
 		return postree.Entry{}, err
 	}
 	return postree.Entry{Bytes: int64(len(data)), Ptr: uint32(seg.Addr.Page)}, nil
@@ -162,68 +162,35 @@ func (o *Object) freeLeaf(e postree.Entry) error {
 	return o.st.FreeSegment(o.seg(e))
 }
 
-// Read fills dst with the bytes at [off, off+len(dst)).
-func (o *Object) Read(off int64, dst []byte) error {
-	sp := o.st.Obs.Begin(obs.OpRead)
-	err := o.readOp(off, dst)
-	o.st.Obs.End(sp, err)
-	return err
+// Append adds data at the end of the object.
+func (o *Object) Append(data []byte) error {
+	return o.st.Op(obs.OpAppend, func() error { return o.appendOp(data) })
 }
 
-func (o *Object) readOp(off int64, dst []byte) error {
-	if err := core.CheckRange(o.Size(), off, int64(len(dst))); err != nil {
-		return err
-	}
-	if len(dst) == 0 {
-		return nil
-	}
-	e, start, path, err := o.tree.FindInto(off, o.pathBuf)
-	if err != nil {
-		return err
-	}
-	o.pathBuf = path[:0] // keep the backing array for the next read
-	pos := off
-	for len(dst) > 0 {
-		offIn := pos - start
-		take := e.Bytes - offIn
-		if take > int64(len(dst)) {
-			take = int64(len(dst))
-		}
-		if err := o.readRange(e, offIn, dst[:take]); err != nil {
-			return err
-		}
-		dst = dst[take:]
-		pos += take
-		if len(dst) == 0 {
-			break
-		}
-		start += e.Bytes
-		var ok bool
-		e, path, ok, err = o.tree.NextLeafInPlace(path)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("esm: ran out of leaves at offset %d", pos)
-		}
-	}
-	return nil
+// Insert adds data before the byte at off.
+func (o *Object) Insert(off int64, data []byte) error {
+	return o.st.Op(obs.OpInsert, func() error { return o.insertOp(off, data) })
 }
 
-// Utilization reports the disk footprint (§4.4.1). Every leaf occupies its
-// full fixed size regardless of how many useful bytes it holds — the root
-// cause of ESM's utilization/leaf-size trade-off.
-func (o *Object) Utilization() core.Utilization {
-	return core.Utilization{
-		ObjectBytes: o.Size(),
-		DataPages:   int64(o.tree.LeafCount()) * int64(o.cfg.LeafPages),
-		IndexPages:  int64(o.tree.IndexPages()),
-		PageSize:    o.st.PageSize(),
-	}
+// Delete removes the n bytes at [off, off+n).
+func (o *Object) Delete(off, n int64) error {
+	return o.st.Op(obs.OpDelete, func() error { return o.deleteOp(off, n) })
 }
 
-// Close finalizes the object. ESM has nothing to trim; any pending index
-// updates are flushed.
+// Replace overwrites the bytes at [off, off+len(data)).
+func (o *Object) Replace(off int64, data []byte) error {
+	return o.st.Op(obs.OpReplace, func() error { return o.replaceOp(off, data) })
+}
+
+// Destroy releases all leaf segments and index pages.
+func (o *Object) Destroy() error {
+	return o.st.Op(obs.OpDestroy, func() error { return o.tree.Destroy(o.freeLeaf) })
+}
+
+// Close flushes any pending index updates. ESM has nothing to trim and
+// every operation has already flushed, so Close is a span without a shadow
+// epoch: there is nothing to free, and an epoch would add a durability
+// barrier.
 func (o *Object) Close() error {
 	sp := o.st.Obs.Begin(obs.OpClose)
 	err := o.tree.FlushOp()
@@ -231,60 +198,17 @@ func (o *Object) Close() error {
 	return err
 }
 
-// Destroy releases all leaf segments and index pages.
-func (o *Object) destroyOp() error {
-	return o.tree.Destroy(func(e postree.Entry) error { return o.freeLeaf(e) })
-}
-
-// LeafSizes returns the useful byte count of every leaf in object order.
-// Testing and inspection aid.
-func (o *Object) LeafSizes() ([]int64, error) {
-	var out []int64
-	err := o.tree.Walk(func(e postree.Entry) bool {
-		out = append(out, e.Bytes)
-		return true
-	})
-	return out, err
-}
-
-// CheckInvariants validates the tree structure plus the ESM-specific leaf
-// occupancy rule: every leaf holds at least half its capacity, except a
-// sole leaf, which may be smaller.
+// CheckInvariants validates the tree and leaf accounting plus the ESM
+// leaf occupancy rule: every leaf holds at least half its capacity, except
+// a sole leaf, which may be smaller.
 func (o *Object) CheckInvariants() error {
-	if err := o.tree.CheckInvariants(); err != nil {
-		return err
-	}
-	sizes, err := o.LeafSizes()
-	if err != nil {
-		return err
-	}
-	for i, b := range sizes {
-		if b > o.leafCap {
-			return fmt.Errorf("esm: leaf %d holds %d bytes, capacity %d", i, b, o.leafCap)
+	sole := o.tree.LeafCount() <= 1
+	return o.CheckTree(func(i int, s core.SegmentInfo) error {
+		if !sole && 2*s.Bytes < o.leafCap {
+			return fmt.Errorf("esm: leaf %d under half full: %d of %d", i, s.Bytes, o.leafCap)
 		}
-		if len(sizes) > 1 && 2*b < o.leafCap {
-			return fmt.Errorf("esm: leaf %d under half full: %d of %d", i, b, o.leafCap)
-		}
-	}
-	return nil
-}
-
-// Layout reports the object's physical structure: every fixed-size leaf
-// segment in byte order plus the index page count.
-func (o *Object) Layout() (core.Layout, error) {
-	l := core.Layout{
-		IndexPages:  o.tree.IndexPages(),
-		IndexLevels: o.tree.Height(),
-	}
-	err := o.tree.Walk(func(e postree.Entry) bool {
-		l.Segments = append(l.Segments, core.SegmentInfo{
-			StartPage: e.Ptr,
-			Pages:     o.cfg.LeafPages,
-			Bytes:     e.Bytes,
-		})
-		return true
+		return nil
 	})
-	return l, err
 }
 
 var _ core.Inspector = (*Object)(nil)

@@ -37,24 +37,13 @@ func (o *Object) writeAnnotation() error {
 	return o.tree.SetAnnotation(ann[:])
 }
 
-// Root returns the address of the object's root page — the durable handle
-// an owner (catalog, record) stores to reopen the object later.
-func (o *Object) Root() disk.Addr { return o.tree.Root() }
-
-// Open reattaches to an ESM object previously created in this store (or in
-// a reopened database image). The configuration is read back from the root
-// page annotation.
+// Open reattaches to an ESM object previously created in this store or in
+// an earlier session of the same file-backed store. The configuration is
+// read back from the root page annotation.
 func Open(st *store.Store, root disk.Addr) (*Object, error) {
-	t, err := postree.Open(st, root)
+	t, ann, err := postree.OpenAnnotated(st, root, annKindESM)
 	if err != nil {
 		return nil, err
-	}
-	ann, err := t.Annotation()
-	if err != nil {
-		return nil, err
-	}
-	if ann[0] != annKindESM {
-		return nil, fmt.Errorf("esm: root %v belongs to manager %q", root, ann[0])
 	}
 	cfg := Config{
 		LeafPages:   int(binary.LittleEndian.Uint32(ann[4:])),
@@ -67,29 +56,7 @@ func Open(st *store.Store, root disk.Addr) (*Object, error) {
 	if cfg.LeafPages <= 0 || cfg.LeafPages > st.MaxSegmentPages() {
 		return nil, fmt.Errorf("esm: reopened object has leaf size %d", cfg.LeafPages)
 	}
-	return &Object{
-		st:      st,
-		tree:    t,
-		cfg:     cfg,
-		leafCap: int64(cfg.LeafPages) * int64(st.PageSize()),
-	}, nil
-}
-
-// MarkPages reports every page the object occupies — index pages plus the
-// full fixed-size extent of every leaf — for shadow recovery.
-func (o *Object) MarkPages(mark func(addr disk.Addr, pages int) error) error {
-	if err := o.tree.MarkPages(mark); err != nil {
-		return err
-	}
-	var inner error
-	err := o.tree.Walk(func(e postree.Entry) bool {
-		inner = mark(o.st.LeafSegment(e.Ptr, o.cfg.LeafPages).Addr, o.cfg.LeafPages)
-		return inner == nil
-	})
-	if err != nil {
-		return err
-	}
-	return inner
+	return attach(st, t, cfg), nil
 }
 
 var _ core.PageMarker = (*Object)(nil)

@@ -5,10 +5,12 @@ package lobtest
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"lobstore/internal/core"
+	"lobstore/internal/disk"
 	"lobstore/internal/store"
 )
 
@@ -111,7 +113,8 @@ func (h *Harness) ReadCheck(off, n int64) {
 	}
 }
 
-// FullCheck verifies size, full content and custom invariants.
+// FullCheck verifies size, full content, custom invariants and, for an
+// object that can describe its own space, checkViews.
 func (h *Harness) FullCheck() {
 	h.T.Helper()
 	if got, want := h.Obj.Size(), int64(len(h.Mirror)); got != want {
@@ -125,6 +128,55 @@ func (h *Harness) FullCheck() {
 			h.T.Fatalf("invariants: %v", err)
 		}
 	}
+	if v, ok := h.Obj.(views); ok {
+		if err := checkViews(v); err != nil {
+			h.T.Fatalf("views: %v", err)
+		}
+	}
+}
+
+// views is an object that describes its space three ways.
+type views interface {
+	core.Object
+	core.Inspector
+	core.PageMarker
+}
+
+// checkViews checks that an object's three descriptions of its own space
+// agree: the Layout segments tile the object and hold exactly the data
+// pages Utilization counts, both report the same index pages, and the
+// pages MarkPages reports add up to Utilization's data plus index pages.
+func checkViews(obj views) error {
+	l, err := obj.Layout()
+	if err != nil {
+		return err
+	}
+	var bytes, pages int64
+	for _, s := range l.Segments {
+		bytes += s.Bytes
+		pages += int64(s.Pages)
+	}
+	u := obj.Utilization()
+	if bytes != obj.Size() {
+		return fmt.Errorf("layout covers %d bytes, object has %d", bytes, obj.Size())
+	}
+	if pages != u.DataPages || int64(l.IndexPages) != u.IndexPages {
+		return fmt.Errorf("layout has %d data + %d index pages, utilization %d + %d",
+			pages, l.IndexPages, u.DataPages, u.IndexPages)
+	}
+	var marked int64
+	err = obj.MarkPages(func(_ disk.Addr, n int) error {
+		marked += int64(n)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if marked != u.DataPages+u.IndexPages {
+		return fmt.Errorf("MarkPages reports %d pages, utilization %d data + %d index",
+			marked, u.DataPages, u.IndexPages)
+	}
+	return nil
 }
 
 // RandomOps performs steps random operations, checking content

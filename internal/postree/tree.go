@@ -517,24 +517,3 @@ func (t *Tree) CheckInvariants() error {
 	}
 	return nil
 }
-
-// MarkPages reports every index page of the tree (root included) to mark.
-// Used by shadow recovery to rebuild allocation state from reachability.
-func (t *Tree) MarkPages(mark func(addr disk.Addr, pages int) error) error {
-	if err := mark(t.root, 1); err != nil {
-		return err
-	}
-	if t.height == 0 {
-		return nil
-	}
-	var addrs []disk.Addr
-	if err := t.collectPages(t.root, t.height, &addrs); err != nil {
-		return err
-	}
-	for _, a := range addrs {
-		if err := mark(a, 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}

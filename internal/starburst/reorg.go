@@ -102,17 +102,13 @@ func (o *Object) buildSegments(total int64, src *source) ([]segment, error) {
 // writeChunk writes a staging-buffer chunk at a page-aligned offset of a
 // fresh segment with one sequential I/O.
 func (o *Object) writeChunk(seg store.Segment, off int64, data []byte) error {
-	ps := o.st.PageSize()
-	if off%int64(ps) != 0 {
+	ps := int64(o.st.PageSize())
+	if off%ps != 0 {
 		// Chunks are buffer-sized and the buffer is a page multiple, so
 		// this cannot happen; fall back to the general path if it does.
 		return o.st.WriteRange(seg, off, data)
 	}
-	npages := (len(data) + ps - 1) / ps
-	buf := o.st.Scratch(npages * ps)
-	copy(buf, data)
-	clear(buf[len(data):])
-	return o.st.WritePages(seg.Addr.Add(int(off/int64(ps))), npages, buf)
+	return o.st.WriteFresh(seg.Addr.Add(int(off/ps)), data)
 }
 
 // Insert adds data before the byte at off. Every segment from the one

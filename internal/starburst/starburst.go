@@ -94,16 +94,6 @@ func create(st *store.Store, cfg Config) (*Object, error) {
 // Size returns the field length in bytes.
 func (o *Object) Size() int64 { return o.size }
 
-// SegmentSizes returns the (allocated pages, useful bytes) of every
-// segment. Testing and inspection aid.
-func (o *Object) SegmentSizes() [][2]int64 {
-	out := make([][2]int64, len(o.segs))
-	for i, s := range o.segs {
-		out[i] = [2]int64{int64(s.seg.Pages), s.bytes}
-	}
-	return out
-}
-
 // locate returns the index of the segment containing byte off and the
 // field offset of that segment's first byte. The descriptor is assumed
 // resident with its record, so no I/O is charged (§4.4.2's 37 ms 100-byte
@@ -192,7 +182,7 @@ func (o *Object) appendOp(data []byte) error {
 		if take > int64(len(rest)) {
 			take = int64(len(rest))
 		}
-		if err := o.writeFresh(seg, rest[:take]); err != nil {
+		if err := o.st.WriteFresh(seg.Addr, rest[:take]); err != nil {
 			return err
 		}
 		o.segs = append(o.segs, segment{seg: seg, bytes: take})
@@ -222,17 +212,6 @@ func (o *Object) advancePattern(justAllocated int) {
 	o.nextPages = next
 }
 
-// writeFresh writes data into a brand-new segment starting at its first
-// byte, one sequential I/O covering exactly the pages holding data.
-func (o *Object) writeFresh(seg store.Segment, data []byte) error {
-	ps := o.st.PageSize()
-	npages := (len(data) + ps - 1) / ps
-	buf := o.st.Scratch(npages * ps)
-	copy(buf, data)
-	clear(buf[len(data):])
-	return o.st.WritePages(seg.Addr, npages, buf)
-}
-
 // Close trims the unused blocks at the right end of the last segment
 // (§2.2: "In either case, the last segment is trimmed").
 func (o *Object) closeOp() error {
@@ -253,6 +232,36 @@ func (o *Object) closeOp() error {
 	s.seg = trimmed
 	return o.writeDescriptor()
 }
+
+// Public mutations run through store.Op: a shadow epoch (§3.3/§3.5) inside
+// an observability span. The old segments a reorganisation reads are freed
+// only after the descriptor — the commit point — has been rewritten.
+
+// Append adds data at the end of the field.
+func (o *Object) Append(data []byte) error {
+	return o.st.Op(obs.OpAppend, func() error { return o.appendOp(data) })
+}
+
+// Insert adds data before the byte at off.
+func (o *Object) Insert(off int64, data []byte) error {
+	return o.st.Op(obs.OpInsert, func() error { return o.insertOp(off, data) })
+}
+
+// Delete removes the n bytes at [off, off+n).
+func (o *Object) Delete(off, n int64) error {
+	return o.st.Op(obs.OpDelete, func() error { return o.deleteOp(off, n) })
+}
+
+// Replace overwrites the bytes at [off, off+len(data)).
+func (o *Object) Replace(off int64, data []byte) error {
+	return o.st.Op(obs.OpReplace, func() error { return o.replaceOp(off, data) })
+}
+
+// Close trims the unused blocks at the right end of the last segment.
+func (o *Object) Close() error { return o.st.Op(obs.OpClose, o.closeOp) }
+
+// Destroy releases every segment and the descriptor page.
+func (o *Object) Destroy() error { return o.st.Op(obs.OpDestroy, o.destroyOp) }
 
 // Utilization reports the disk footprint: after any update Starburst
 // reorganises the affected segments completely, so only the last page of

@@ -27,6 +27,21 @@ func harness(t *testing.T, cfg Config, seed int64) (*lobtest.Harness, *Object, *
 	return h, o, st
 }
 
+// segmentSizes returns the (allocated pages, useful bytes) of every
+// segment.
+func segmentSizes(t *testing.T, o *Object) [][2]int64 {
+	t.Helper()
+	l, err := o.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([][2]int64, len(l.Segments))
+	for i, s := range l.Segments {
+		sizes[i] = [2]int64{int64(s.Pages), s.Bytes}
+	}
+	return sizes
+}
+
 func TestConfigValidation(t *testing.T) {
 	st := lobtest.NewStore(t, lobtest.TestParams())
 	if _, err := New(st, Config{MaxSegmentPages: -1}); err == nil {
@@ -53,7 +68,7 @@ func TestDoublingGrowthPattern(t *testing.T) {
 	}
 	h.FullCheck()
 	var gotPages []int64
-	for _, s := range o.SegmentSizes() {
+	for _, s := range segmentSizes(t, o) {
 		gotPages = append(gotPages, s[0])
 	}
 	want := []int64{1, 2, 4, 8, 8, 8}
@@ -90,7 +105,7 @@ func TestKnownSizeUsesMaximalSegments(t *testing.T) {
 	h, o, _ := harness(t, Config{MaxSegmentPages: 16, KnownSize: 200000}, 3)
 	h.Append(200000)
 	h.FullCheck()
-	sizes := o.SegmentSizes()
+	sizes := segmentSizes(t, o)
 	for i, s := range sizes {
 		if i < len(sizes)-1 && s[0] != 16 {
 			t.Fatalf("segment %d has %d pages, want maximal 16", i, s[0])
@@ -115,7 +130,7 @@ func TestInsertReorganizesTail(t *testing.T) {
 	h.FullCheck()
 	// After the reorganisation everything from the insertion point onward
 	// lives in maximal segments.
-	sizes := o.SegmentSizes()
+	sizes := segmentSizes(t, o)
 	last := len(sizes) - 1
 	for i, s := range sizes {
 		full := s[0]*4096 == s[1]
@@ -152,10 +167,10 @@ func TestDeleteRanges(t *testing.T) {
 func TestReplaceShadowsOnlyAffectedSegments(t *testing.T) {
 	h, o, _ := harness(t, Config{MaxSegmentPages: 4}, 8)
 	h.Append(100000)
-	before := o.SegmentSizes()
+	before := segmentSizes(t, o)
 	h.Replace(20000, 3000)
 	h.FullCheck()
-	after := o.SegmentSizes()
+	after := segmentSizes(t, o)
 	if len(before) != len(after) {
 		t.Fatalf("replace changed segment count %d → %d", len(before), len(after))
 	}

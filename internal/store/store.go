@@ -305,6 +305,16 @@ func (s *Store) RunOp(f func() error) error {
 	return err
 }
 
+// Op runs f as one public mutation of a large object: a shadow epoch
+// (RunOp) inside an observability span, so frees apply only after f's
+// commit point and every event f causes is tagged with kind.
+func (s *Store) Op(kind obs.Op, f func() error) error {
+	sp := s.Obs.Begin(kind)
+	err := s.RunOp(f)
+	s.Obs.End(sp, err)
+	return err
+}
+
 // FreeSegment releases a whole leaf segment and discards any buffered
 // pages. Inside a shadow epoch the space is reclaimed only at EndOp.
 func (s *Store) FreeSegment(seg Segment) error {
@@ -476,6 +486,16 @@ func (s *Store) WritePages(a disk.Addr, npages int, src []byte) error {
 	return s.Disk.Write(a, npages, src)
 }
 
+// WriteFresh writes data to freshly allocated pages starting at a: one I/O
+// over exactly the pages that hold data, the tail of the last page zeroed.
+func (s *Store) WriteFresh(a disk.Addr, data []byte) error {
+	npages := (len(data) + s.pageSize - 1) / s.pageSize
+	buf := s.Scratch(npages * s.pageSize)
+	copy(buf, data)
+	clear(buf[len(data):])
+	return s.WritePages(a, npages, buf)
+}
+
 // WriteRange writes data at byte offset off within seg. Whole pages covered
 // by the range are written from src; partial boundary pages are first read
 // (read-modify-write), all in minimal I/O calls. Returns the number of I/O
@@ -528,11 +548,9 @@ func (s *Store) readPageInto(a disk.Addr, dst []byte) error {
 // SyncBarrier forces every byte written so far to stable storage, subject
 // to the volume's sync policy. Free (and event-silent) on the in-memory
 // backend, so barrier placement never changes mem-backend cost output. On
-// a file backend running the commit pipeline this call may be
-// acknowledged by another committer's shared fsync (group commit) and
-// first fences the async write-back queue — either way it returns only
-// once everything written before it is durable, which is all the §3.3
-// protocol relies on.
+// a file backend this call may be acknowledged by another committer's
+// shared fsync (group commit); either way it returns only once everything
+// written before it is durable, which is all the §3.3 protocol relies on.
 func (s *Store) SyncBarrier() error { return s.Disk.Barrier() }
 
 // Flush writes back everything the store holds only in memory: dirty
