@@ -3,42 +3,33 @@
 // the CI guard around the committed BENCH_harness.json and
 // BENCH_volume.json baselines. The comparison is percentile-aware: besides
 // phase means it gates on each experiment's p99 wall-clock operation
-// latency, the number tail-latency SLOs are judged by. By default a fresh
-// run that is more than -threshold slower on any comparable metric prints a
-// warning per regression — in GitHub Actions ::warning:: form so it
+// latency, the number tail-latency SLOs are judged by. A fresh run that is
+// more than 20% slower on any comparable metric prints a warning per
+// regression — in GitHub Actions ::warning:: form with -github, so it
 // annotates the run — but exits 0, because shared CI runners are too noisy
-// for a hard gate; -enforce turns regressions into exit code 1, and
-// -enforce-p99 hard-gates only the p99 wall-clock latency metrics: tail
-// percentiles average out run-to-run scheduler noise far better than the
-// phase means, so with two PRs of baselines behind them they are gated in
-// CI while the wall means stay warn-only.
+// for a hard gate on means; -enforce-p99 hard-gates the p99 wall-clock
+// latency metrics: tail percentiles average out run-to-run scheduler noise
+// far better than the phase means, so with two PRs of baselines behind them
+// they are gated in CI while the wall means stay warn-only.
 //
 // Simulated-time metrics (per-experiment and total sim_ms) are different:
 // they come from the paper's deterministic cost model under a fixed seed,
 // so they carry no runner noise at all. They are compared exactly, in both
-// directions, with no floor; -enforce-sim makes any drift beyond
-// -sim-threshold (default 0) fail the build. A deliberate cost-model
-// change ships with a regenerated baseline.
+// directions, with no floor; -enforce-sim makes any drift fail the build. A
+// deliberate cost-model change ships with a regenerated baseline.
 //
 // Usage:
 //
 //	benchdiff baseline.json fresh.json
-//	benchdiff -threshold 0.5 -min-wall-ms 25 -min-p99-us 200 old.json new.json
-//	benchdiff -enforce baseline.json fresh.json
 //	benchdiff -enforce-p99 baseline.json fresh.json
 //	benchdiff -enforce-sim baseline.json fresh.json
 //
 // The schemas are recognized by their fields: harness reports contribute
 // prepass/experiment wall milliseconds, per-experiment p99 µs and
-// micro-benchmark ns/op, volume reports contribute per-case ns/op, and
-// server reports (BENCH_server.json, written by lobload) contribute
-// per-case ops/s, p99 µs and goodput. Throughput metrics (suffix "ops/s")
-// regress downward — a fresh rate more than -threshold below baseline is
-// flagged — while every latency metric regresses upward; server p99 µs
-// metrics share the -enforce-p99 hard gate with the harness ones. Metrics
-// below -min-wall-ms (or the ns/op equivalent) in the baseline are skipped,
-// as are p99 metrics below -min-p99-us: relative comparison of sub-noise
-// cells produces only false alarms.
+// micro-benchmark ns/op, and volume reports contribute per-case ns/op.
+// Every metric regresses upward. Metrics below 10 ms of wall time (or the
+// ns/op equivalent) in the baseline are skipped, as are p99 metrics below
+// 100 µs: relative comparison of sub-noise cells produces only false alarms.
 package main
 
 import (
@@ -47,6 +38,16 @@ import (
 	"fmt"
 	"os"
 	"sort"
+)
+
+// The wall-clock gate: a regression is a fresh value more than threshold
+// above baseline, on a baseline at or above the noise floor of its family.
+// Simulated time tolerates no drift at all.
+const (
+	threshold = 0.20
+	floorMs   = 10  // wall metrics; ns/op metrics use the same time in ns
+	floorUs   = 100 // p99 latency metrics
+	simTol    = 0
 )
 
 // phase and micro mirror lobbench's benchjson schema; volCase mirrors the
@@ -69,24 +70,13 @@ type volCase struct {
 	NsPerOp float64 `json:"ns_per_op"`
 }
 
-// serverCase mirrors one named lobload run in a BENCH_server.json
-// artifact: end-to-end network serving throughput and wall-clock tail
-// latency, plus goodput when the run carried an SLO.
-type serverCase struct {
-	Name             string  `json:"name"`
-	OpsPerSec        float64 `json:"ops_per_sec"`
-	P99Us            float64 `json:"p99_us"`
-	GoodputOpsPerSec float64 `json:"goodput_ops_per_sec"`
-}
-
 type report struct {
-	Prepass     *phase       `json:"prepass"`
-	Experiments []phase      `json:"experiments"`
-	Micro       []micro      `json:"micro"`
-	TotalSimMs  float64      `json:"total_sim_ms"`
-	TotalWallMs float64      `json:"total_wall_ms"`
-	Cases       []volCase    `json:"cases"`
-	ServerCases []serverCase `json:"server_cases"`
+	Prepass     *phase    `json:"prepass"`
+	Experiments []phase   `json:"experiments"`
+	Micro       []micro   `json:"micro"`
+	TotalSimMs  float64   `json:"total_sim_ms"`
+	TotalWallMs float64   `json:"total_wall_ms"`
+	Cases       []volCase `json:"cases"`
 }
 
 // metrics flattens a report into named wall-clock numbers, all in
@@ -118,26 +108,14 @@ func metrics(r *report) map[string]float64 {
 	for _, c := range r.Cases {
 		out["case "+c.Name+" ns/op"] = c.NsPerOp
 	}
-	for _, c := range r.ServerCases {
-		if c.OpsPerSec > 0 {
-			out["server "+c.Name+" ops/s"] = c.OpsPerSec
-		}
-		if c.P99Us > 0 {
-			out["server "+c.Name+" p99_us"] = c.P99Us
-		}
-		if c.GoodputOpsPerSec > 0 {
-			out["server "+c.Name+" goodput ops/s"] = c.GoodputOpsPerSec
-		}
-	}
 	return out
 }
 
 // regression is one metric whose fresh value exceeds the threshold.
 type regression struct {
-	name       string
-	base, cur  float64
-	ratio      float64
-	isWallFine bool // below the noise floor: reported but not warned
+	name      string
+	base, cur float64
+	ratio     float64
 }
 
 // compare returns the regressions of cur against base. Metrics missing on
@@ -160,17 +138,6 @@ func compare(base, cur map[string]float64, threshold, floorMs, floorUs float64) 
 		if isSimMetric(n) {
 			continue // simulated time is gated exactly, by compareSim
 		}
-		if isOpsMetric(n) {
-			// Throughput regresses downward: flag when the fresh rate falls
-			// more than threshold below baseline. No floor — a server case
-			// measured at all is above noise, and a collapse to near zero is
-			// exactly the regression to catch. ratio > 1 means "times worse"
-			// in both families.
-			if c < b*(1-threshold) {
-				regs = append(regs, regression{name: n, base: b, cur: c, ratio: b / c})
-			}
-			continue
-		}
 		floor := floorMs
 		switch {
 		case isNsMetric(n):
@@ -191,7 +158,7 @@ func compare(base, cur map[string]float64, threshold, floorMs, floorUs float64) 
 // compareSim diffs the simulated-time metrics. Simulated milliseconds come
 // from the paper's deterministic cost model under a fixed seed: any drift —
 // faster or slower, however small — means the engine's I/O behavior
-// changed, so there is no noise floor and the default tolerance is zero.
+// changed, so there is no noise floor and CI tolerates none (simTol).
 // A deliberate cost change is shipped by regenerating the baseline.
 func compareSim(base, cur map[string]float64, tolerance float64) []regression {
 	names := make([]string, 0, len(base))
@@ -231,12 +198,6 @@ func isUsMetric(name string) bool {
 	return len(name) > 6 && name[len(name)-6:] == "p99_us"
 }
 
-// isOpsMetric marks throughput metrics (server ops/s and goodput), which
-// regress downward rather than upward.
-func isOpsMetric(name string) bool {
-	return len(name) > 5 && name[len(name)-5:] == "ops/s"
-}
-
 func load(path string) (map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -255,18 +216,13 @@ func load(path string) (map[string]float64, error) {
 
 func main() {
 	var (
-		threshold  = flag.Float64("threshold", 0.20, "relative slowdown that counts as a regression")
-		floorMs    = flag.Float64("min-wall-ms", 10, "skip metrics whose baseline is below this wall time in ms (ns/op metrics use the equivalent)")
-		floorUs    = flag.Float64("min-p99-us", 100, "skip p99 latency metrics whose baseline is below this many µs")
 		github     = flag.Bool("github", false, "emit GitHub Actions ::warning:: annotations")
-		enforce    = flag.Bool("enforce", false, "exit 1 when any wall-clock regression is found (default: warn only)")
 		enforceP99 = flag.Bool("enforce-p99", false, "exit 1 when a p99 wall-clock latency metric regresses (wall means stay warn-only)")
-		simTol     = flag.Float64("sim-threshold", 0, "relative drift tolerated on deterministic sim_ms metrics")
-		enforceSim = flag.Bool("enforce-sim", false, "exit 1 when any sim_ms metric drifts beyond -sim-threshold")
+		enforceSim = flag.Bool("enforce-sim", false, "exit 1 when any sim_ms metric drifts")
 	)
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold R] [-min-wall-ms MS] [-min-p99-us US] [-sim-threshold R] [-github] [-enforce] [-enforce-p99] [-enforce-sim] baseline.json fresh.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-github] [-enforce-p99] [-enforce-sim] baseline.json fresh.json")
 		os.Exit(2)
 	}
 	base, err := load(flag.Arg(0))
@@ -277,7 +233,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	simRegs := compareSim(base, cur, *simTol)
+	simRegs := compareSim(base, cur, simTol)
 	for _, r := range simRegs {
 		msg := fmt.Sprintf("%s drifted %.4fx: %.6g -> %.6g (deterministic metric: the I/O cost model behavior changed)",
 			r.name, r.ratio, r.base, r.cur)
@@ -290,17 +246,17 @@ func main() {
 			fmt.Printf("benchdiff: SIM DRIFT %s\n", msg)
 		}
 	}
-	regs := compare(base, cur, *threshold, *floorMs, *floorUs)
+	regs := compare(base, cur, threshold, floorMs, floorUs)
 	if len(regs) == 0 && len(simRegs) == 0 {
 		fmt.Printf("benchdiff: no regressions beyond %.0f%% (%d metrics compared)\n",
-			*threshold*100, len(base))
+			threshold*100, len(base))
 		return
 	}
 	p99Regs := 0
 	for _, r := range regs {
 		msg := fmt.Sprintf("%s regressed %.1fx: %.3g -> %.3g", r.name, r.ratio, r.base, r.cur)
-		hard := *enforce || (*enforceP99 && isUsMetric(r.name))
-		if hard && isUsMetric(r.name) {
+		hard := *enforceP99 && isUsMetric(r.name)
+		if hard {
 			p99Regs++
 		}
 		switch {
@@ -312,18 +268,14 @@ func main() {
 			fmt.Printf("benchdiff: WARNING %s\n", msg)
 		}
 	}
-	// Wall-clock gating is fail-soft by default: annotate, never break the
-	// build on shared-runner timing noise; -enforce flips that for callers
-	// with quiet machines, and -enforce-p99 hard-gates only the tail
-	// percentiles. Simulated time carries no noise, so -enforce-sim turns
-	// any drift into a hard failure independently.
+	// Wall-clock gating is fail-soft: annotate, never break the build on
+	// shared-runner timing noise, except that -enforce-p99 hard-gates the
+	// tail percentiles. Simulated time carries no noise, so -enforce-sim
+	// turns any drift into a hard failure independently.
 	if *enforceSim && len(simRegs) > 0 {
 		os.Exit(1)
 	}
-	if *enforce && len(regs) > 0 {
-		os.Exit(1)
-	}
-	if *enforceP99 && p99Regs > 0 {
+	if p99Regs > 0 {
 		os.Exit(1)
 	}
 }

@@ -21,7 +21,7 @@ func TestCompareFlagsOnlyRealRegressions(t *testing.T) {
 		"case file-seq-read ns/op": 2e7,
 		"new wall_ms":              999, // absent from base
 	}
-	regs := compare(base, cur, 0.20, 10, 100)
+	regs := compare(base, cur, threshold, floorMs, floorUs)
 	if len(regs) != 2 {
 		t.Fatalf("got %d regressions %v, want 2", len(regs), regs)
 	}
@@ -49,7 +49,7 @@ func TestCompareGatesOnP99(t *testing.T) {
 		"experiment fig9 p99_us":  440,  // +10%: under threshold
 		"experiment tiny p99_us":  5000, // huge ratio but sub-noise baseline
 	}
-	regs := compare(base, cur, 0.20, 10, 100)
+	regs := compare(base, cur, threshold, floorMs, floorUs)
 	if len(regs) != 1 {
 		t.Fatalf("got %d regressions %v, want 1", len(regs), regs)
 	}
@@ -58,7 +58,7 @@ func TestCompareGatesOnP99(t *testing.T) {
 	}
 	// The µs floor must not inherit the wall-ms floor: with floorUs = 10 the
 	// tiny experiment's 100x jump becomes a real finding.
-	regs = compare(base, cur, 0.20, 10, 10)
+	regs = compare(base, cur, threshold, floorMs, 10)
 	if len(regs) != 2 {
 		t.Fatalf("lowered p99 floor: got %d regressions %v, want 2", len(regs), regs)
 	}
@@ -69,11 +69,11 @@ func TestCompareGatesOnP99(t *testing.T) {
 func TestCompareThresholdBoundary(t *testing.T) {
 	base := map[string]float64{"experiment fig5 p99_us": 1000}
 	at := map[string]float64{"experiment fig5 p99_us": 1200}
-	if regs := compare(base, at, 0.20, 10, 100); len(regs) != 0 {
+	if regs := compare(base, at, threshold, floorMs, floorUs); len(regs) != 0 {
 		t.Fatalf("exactly-at-threshold flagged: %v", regs)
 	}
 	over := map[string]float64{"experiment fig5 p99_us": 1201}
-	if regs := compare(base, over, 0.20, 10, 100); len(regs) != 1 {
+	if regs := compare(base, over, threshold, floorMs, floorUs); len(regs) != 1 {
 		t.Fatalf("just-over-threshold missed: %v", regs)
 	}
 }
@@ -94,10 +94,10 @@ func TestCompareSimGatesExactly(t *testing.T) {
 		"total sim_ms":            5000,
 		"experiment fig5 wall_ms": 500, // wall regression is not sim drift
 	}
-	if regs := compareSim(base, same, 0); len(regs) != 0 {
+	if regs := compareSim(base, same, simTol); len(regs) != 0 {
 		t.Fatalf("exact match flagged: %v", regs)
 	}
-	if regs := compare(base, same, 0.20, 10, 100); len(regs) != 1 || regs[0].name != "experiment fig5 wall_ms" {
+	if regs := compare(base, same, threshold, floorMs, floorUs); len(regs) != 1 || regs[0].name != "experiment fig5 wall_ms" {
 		t.Fatalf("wall compare mishandled sim metrics: %v", regs)
 	}
 	drift := map[string]float64{
@@ -105,7 +105,7 @@ func TestCompareSimGatesExactly(t *testing.T) {
 		"experiment fig7 sim_ms": 0.24,   // -4%: faster counts too
 		"total sim_ms":           5000,
 	}
-	regs := compareSim(base, drift, 0)
+	regs := compareSim(base, drift, simTol)
 	if len(regs) != 2 {
 		t.Fatalf("got %d sim drifts %v, want 2", len(regs), regs)
 	}
@@ -115,73 +115,6 @@ func TestCompareSimGatesExactly(t *testing.T) {
 	// A tolerance absorbs drift up to its bound, both directions.
 	if regs := compareSim(base, drift, 0.05); len(regs) != 0 {
 		t.Fatalf("5%% tolerance still flagged: %v", regs)
-	}
-}
-
-// TestCompareThroughputRegressesDownward pins the inverted gate for ops/s
-// metrics: a throughput drop beyond threshold is a regression, a rise (or
-// a latency-style increase) never is, and goodput shares the family.
-func TestCompareThroughputRegressesDownward(t *testing.T) {
-	base := map[string]float64{
-		"server closed-16 ops/s":         40000,
-		"server closed-16 goodput ops/s": 39000,
-		"server closed-1 ops/s":          9000,
-		"server closed-16 p99_us":        800,
-	}
-	cur := map[string]float64{
-		"server closed-16 ops/s":         30000, // -25%: regression
-		"server closed-16 goodput ops/s": 50000, // faster: fine
-		"server closed-1 ops/s":          8000,  // -11%: under threshold
-		"server closed-16 p99_us":        1200,  // +50%: latency regression
-	}
-	regs := compare(base, cur, 0.20, 10, 100)
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions %v, want 2", len(regs), regs)
-	}
-	if regs[0].name != "server closed-16 ops/s" {
-		t.Fatalf("wrong throughput regression: %+v", regs[0])
-	}
-	if regs[0].ratio < 1.32 || regs[0].ratio > 1.34 {
-		t.Fatalf("throughput ratio %.2f, want ~1.33 (times worse)", regs[0].ratio)
-	}
-	if regs[1].name != "server closed-16 p99_us" {
-		t.Fatalf("server p99 not compared as latency: %+v", regs[1])
-	}
-	// Boundary: exactly base*(1-threshold) is not a regression.
-	at := map[string]float64{"server closed-16 ops/s": 32000}
-	if regs := compare(map[string]float64{"server closed-16 ops/s": 40000}, at, 0.20, 10, 100); len(regs) != 0 {
-		t.Fatalf("exactly-at-threshold throughput flagged: %v", regs)
-	}
-}
-
-func TestMetricsFlattensServerSchema(t *testing.T) {
-	r := &report{
-		ServerCases: []serverCase{
-			{Name: "closed-16", OpsPerSec: 40000, P99Us: 800, GoodputOpsPerSec: 39000},
-			{Name: "open-5000", OpsPerSec: 5000, P99Us: 1500}, // no SLO: no goodput metric
-		},
-	}
-	m := metrics(r)
-	want := map[string]float64{
-		"server closed-16 ops/s":         40000,
-		"server closed-16 p99_us":        800,
-		"server closed-16 goodput ops/s": 39000,
-		"server open-5000 ops/s":         5000,
-		"server open-5000 p99_us":        1500,
-	}
-	if len(m) != len(want) {
-		t.Fatalf("got %d metrics %v, want %d", len(m), m, len(want))
-	}
-	for k, v := range want {
-		if m[k] != v {
-			t.Fatalf("metric %q = %v, want %v", k, m[k], v)
-		}
-	}
-	if !isUsMetric("server closed-16 p99_us") {
-		t.Fatal("server p99 metric must share the p99 gate")
-	}
-	if !isOpsMetric("server closed-16 goodput ops/s") || isOpsMetric("micro append ns/op") {
-		t.Fatal("ops/s suffix detection wrong")
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"lobstore"
 	"lobstore/internal/buffer"
 	"lobstore/internal/disk"
 	"lobstore/internal/filevol"
@@ -249,284 +249,112 @@ func benchGroupCommit(v *filevol.Volume, clients int, random bool, fsyncsPerOp, 
 	}
 }
 
-// engineBenchRuns is the number of 4-page runs each engine-cell object is
-// primed with; the timed loop replaces runs in place so the database
-// never grows, however large b.N gets.
-const engineBenchRuns = 64
-
-// benchEngineClients measures the concurrent stack end to end: clients
-// goroutines each own one named ESM object in a single file-backed
-// database opened with Config.Concurrent, and every op replaces one
-// 4-page run in place under the commit sync policy — so every op pays a
-// durability barrier, exactly the contention the engine exists to
-// amortize. Scaling beyond the 1-client cell comes from committers
-// parked at their commit barriers batching into shared fsyncs instead of
-// queueing single-file behind the store mutex.
-func benchEngineClients(db *lobstore.DB, objs []lobstore.Object, pageSize int) func(b *testing.B) {
-	return func(b *testing.B) {
-		clients := len(objs)
-		runBytes := volBenchRunPages * pageSize
-		buf := make([]byte, runBytes)
-		for i := range buf {
-			buf[i] = byte(i)
-		}
-		// Prime each object once so the replaces always land in place.
-		for _, obj := range objs {
-			for obj.Size() < int64(engineBenchRuns*runBytes) {
-				if err := obj.Append(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		errCh := make(chan error, clients)
-		for c := 0; c < clients; c++ {
-			n := b.N / clients
-			if c < b.N%clients {
-				n++
-			}
-			wg.Add(1)
-			go func(obj lobstore.Object, n int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					off := int64(i%engineBenchRuns) * int64(runBytes)
-					if err := obj.Replace(off, buf); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}(objs[c], n)
-		}
-		wg.Wait()
-		b.StopTimer()
-		close(errCh)
-		for err := range errCh {
-			b.Fatal(err)
-		}
-	}
+// volCell is one BENCH_volume.json cell: the volume it opens in a fresh
+// directory and the benchmark it runs against it. bench may fill its
+// family's extra fields of the case it is handed; they are read after the
+// run.
+type volCell struct {
+	name  string
+	pages int // pages moved per op, for MB/s
+	open  func(dir string) (disk.Volume, error)
+	bench func(v disk.Volume, c *volBenchCase) (func(*testing.B), error)
 }
 
-// volumeBenchmarks runs the full backend × pattern × op × sync matrix.
-func volumeBenchmarks(pageSize int) (*volBenchReport, error) {
-	type cell struct {
-		name   string
-		open   func(dir string) (disk.Volume, error)
-		random bool
-		write  bool
+// run measures the cell in its own temporary directory, which it removes.
+func (c volCell) run() (volBenchCase, error) {
+	out := volBenchCase{Name: c.name}
+	dir, err := os.MkdirTemp("", "lobbench-vol-*")
+	if err != nil {
+		return out, err
 	}
+	v, err := c.open(dir)
+	if err != nil {
+		return out, errors.Join(err, os.RemoveAll(dir))
+	}
+	bytesPerOp := float64(c.pages * v.PageSize())
+	var res testing.BenchmarkResult
+	fn, err := c.bench(v, &out)
+	if err == nil {
+		res = testing.Benchmark(fn)
+	}
+	if err := errors.Join(err, v.Close(), os.RemoveAll(dir)); err != nil {
+		return out, err
+	}
+	out.NsPerOp = float64(res.NsPerOp())
+	if out.NsPerOp > 0 {
+		out.MBPerS = bytesPerOp / out.NsPerOp * 1e9 / (1 << 20)
+	}
+	out.AllocsPerOp = res.AllocsPerOp()
+	return out, nil
+}
+
+// volumeBenchmarks runs the backend × pattern × op × sync matrix, then the
+// buffer-pool write-back and group-commit families.
+func volumeBenchmarks(pageSize int) (*volBenchReport, error) {
 	memOpen := func(string) (disk.Volume, error) { return disk.NewMemVolume(pageSize), nil }
-	fileOpen := func(policy filevol.Policy) func(dir string) (disk.Volume, error) {
+	fileOpen := func(opts ...filevol.Option) func(dir string) (disk.Volume, error) {
 		return func(dir string) (disk.Volume, error) {
-			return filevol.Open(dir, pageSize, filevol.WithPolicy(policy))
+			return filevol.Open(dir, pageSize, opts...)
 		}
 	}
-	cells := []cell{
-		{"mem-seq-read", memOpen, false, false},
-		{"mem-rand-read", memOpen, true, false},
-		{"mem-seq-write", memOpen, false, true},
-		{"mem-rand-write", memOpen, true, true},
+	noSync := fileOpen(filevol.WithPolicy(filevol.SyncNever))
+	raw := func(random, write bool) func(disk.Volume, *volBenchCase) (func(*testing.B), error) {
+		return func(v disk.Volume, _ *volBenchCase) (func(*testing.B), error) {
+			return benchVolume(v, random, write), nil
+		}
+	}
+	cells := []volCell{
+		{"mem-seq-read", volBenchRunPages, memOpen, raw(false, false)},
+		{"mem-rand-read", volBenchRunPages, memOpen, raw(true, false)},
+		{"mem-seq-write", volBenchRunPages, memOpen, raw(false, true)},
+		{"mem-rand-write", volBenchRunPages, memOpen, raw(true, true)},
 		// SyncNever isolates the pread/pwrite cost; -sync adds an fsync per
 		// write (the SyncAlways policy), the durability tax ceiling.
-		{"file-seq-read", fileOpen(filevol.SyncNever), false, false},
-		{"file-rand-read", fileOpen(filevol.SyncNever), true, false},
-		{"file-seq-write", fileOpen(filevol.SyncNever), false, true},
-		{"file-rand-write", fileOpen(filevol.SyncNever), true, true},
-		{"file-seq-write-sync", fileOpen(filevol.SyncAlways), false, true},
-		{"file-rand-write-sync", fileOpen(filevol.SyncAlways), true, true},
-	}
-	rep := &volBenchReport{PageSize: pageSize, RunPages: volBenchRunPages}
-	for _, c := range cells {
-		dir, err := os.MkdirTemp("", "lobbench-vol-*")
-		if err != nil {
-			return nil, err
-		}
-		v, err := c.open(dir)
-		if err != nil {
-			return nil, err
-		}
-		res := testing.Benchmark(benchVolume(v, c.random, c.write))
-		cerr := v.Close()
-		rerr := os.RemoveAll(dir)
-		if cerr != nil {
-			return nil, cerr
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		bytesPerOp := float64(volBenchRunPages * pageSize)
-		ns := float64(res.NsPerOp())
-		mbps := 0.0
-		if ns > 0 {
-			mbps = bytesPerOp / ns * 1e9 / (1 << 20)
-		}
-		rep.Cases = append(rep.Cases, volBenchCase{
-			Name:        c.name,
-			NsPerOp:     ns,
-			MBPerS:      mbps,
-			AllocsPerOp: res.AllocsPerOp(),
-		})
+		{"file-seq-read", volBenchRunPages, noSync, raw(false, false)},
+		{"file-rand-read", volBenchRunPages, noSync, raw(true, false)},
+		{"file-seq-write", volBenchRunPages, noSync, raw(false, true)},
+		{"file-rand-write", volBenchRunPages, noSync, raw(true, true)},
+		{"file-seq-write-sync", volBenchRunPages, fileOpen(filevol.WithPolicy(filevol.SyncAlways)), raw(false, true)},
+		{"file-rand-write-sync", volBenchRunPages, fileOpen(filevol.WithPolicy(filevol.SyncAlways)), raw(true, true)},
 	}
 
 	// Pool write-back cells: the same backends driven through the buffer
 	// pool.
-	poolCells := []struct {
-		name string
-		open func(dir string) (disk.Volume, error)
-	}{
-		{"pool-mem-writeback", memOpen},
-		{"pool-file-writeback", fileOpen(filevol.SyncNever)},
-	}
-	for _, c := range poolCells {
-		dir, err := os.MkdirTemp("", "lobbench-vol-*")
-		if err != nil {
-			return nil, err
-		}
-		v, err := c.open(dir)
-		if err != nil {
-			return nil, err
-		}
+	pool := func(v disk.Volume, c *volBenchCase) (func(*testing.B), error) {
 		p, d, err := newPoolBench(v)
 		if err != nil {
 			return nil, err
 		}
-		var writeCalls, simMs float64
-		res := testing.Benchmark(benchPoolWriteback(p, d, &writeCalls, &simMs))
-		cerr := v.Close()
-		rerr := os.RemoveAll(dir)
-		if cerr != nil {
-			return nil, cerr
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		bytesPerOp := float64(poolBenchWindow * pageSize)
-		ns := float64(res.NsPerOp())
-		mbps := 0.0
-		if ns > 0 {
-			mbps = bytesPerOp / ns * 1e9 / (1 << 20)
-		}
-		rep.Cases = append(rep.Cases, volBenchCase{
-			Name:        c.name,
-			NsPerOp:     ns,
-			MBPerS:      mbps,
-			AllocsPerOp: res.AllocsPerOp(),
-			WriteCalls:  writeCalls,
-			SimMs:       simMs,
-		})
+		return benchPoolWriteback(p, d, &c.WriteCalls, &c.SimMs), nil
 	}
+	cells = append(cells,
+		volCell{"pool-mem-writeback", poolBenchWindow, memOpen, pool},
+		volCell{"pool-file-writeback", poolBenchWindow, noSync, pool})
 
 	// Group-commit cells: N concurrent committers, each op one durable
 	// barrier. The 1-client cell is the per-op-fsync baseline the larger
 	// batches are judged against.
 	for _, clients := range []int{1, 4, 16, 64} {
-		for _, random := range []bool{false, true} {
-			pattern := "seq"
-			if random {
-				pattern = "rand"
-			}
-			name := fmt.Sprintf("group-commit-%d-%s-append", clients, pattern)
-			dir, err := os.MkdirTemp("", "lobbench-vol-*")
-			if err != nil {
-				return nil, err
-			}
-			v, err := filevol.Open(dir, pageSize,
-				filevol.WithPolicy(filevol.SyncCommit),
-				filevol.WithGroupCommit(filevol.GroupCommit{
-					MaxBatch: clients,
-					MaxDelay: 2 * time.Millisecond,
-				}))
-			if err != nil {
-				return nil, err
-			}
-			var fsyncsPerOp, avgBatch float64
-			res := testing.Benchmark(benchGroupCommit(v, clients, random, &fsyncsPerOp, &avgBatch))
-			cerr := v.Close()
-			rerr := os.RemoveAll(dir)
-			if cerr != nil {
-				return nil, cerr
-			}
-			if rerr != nil {
-				return nil, rerr
-			}
-			bytesPerOp := float64(volBenchRunPages * pageSize)
-			ns := float64(res.NsPerOp())
-			mbps := 0.0
-			if ns > 0 {
-				mbps = bytesPerOp / ns * 1e9 / (1 << 20)
-			}
-			rep.Cases = append(rep.Cases, volBenchCase{
-				Name:        name,
-				NsPerOp:     ns,
-				MBPerS:      mbps,
-				AllocsPerOp: res.AllocsPerOp(),
-				FsyncsPerOp: fsyncsPerOp,
-				AvgBatch:    avgBatch,
+		for _, pattern := range []string{"seq", "rand"} {
+			cells = append(cells, volCell{
+				name:  fmt.Sprintf("group-commit-%d-%s-append", clients, pattern),
+				pages: volBenchRunPages,
+				open: fileOpen(filevol.WithPolicy(filevol.SyncCommit),
+					filevol.WithGroupCommit(filevol.GroupCommit{MaxBatch: clients, MaxDelay: 2 * time.Millisecond})),
+				bench: func(v disk.Volume, c *volBenchCase) (func(*testing.B), error) {
+					return benchGroupCommit(v.(*filevol.Volume), clients, pattern == "rand", &c.FsyncsPerOp, &c.AvgBatch), nil
+				},
 			})
 		}
 	}
 
-	// Engine cells: the sync-heavy append workload once more, but through
-	// the whole concurrent facade — object locks, store mutex, commit
-	// barriers, group commit. The 1-client cell is the serial baseline;
-	// the 16-client cell is the scaling claim benchdiff watches
-	// (warn-only, like every wall-clock volume cell).
-	for _, clients := range []int{1, 4, 16} {
-		name := fmt.Sprintf("engine-%d-clients", clients)
-		dir, err := os.MkdirTemp("", "lobbench-vol-*")
+	rep := &volBenchReport{PageSize: pageSize, RunPages: volBenchRunPages}
+	for _, c := range cells {
+		vc, err := c.run()
 		if err != nil {
 			return nil, err
 		}
-		cfg := lobstore.DefaultConfig()
-		cfg.Backend = "file"
-		cfg.Dir = dir
-		cfg.SyncPolicy = "commit"
-		cfg.Concurrent = true
-		// Parked committers hold their dirty pages sticky in the shared
-		// pool, so the paper's 12-frame default starves under overlap;
-		// every cell gets the same enlarged pool to keep scaling honest.
-		cfg.BufferPages = 256
-		cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: clients, MaxDelay: 2 * time.Millisecond}
-		db, err := lobstore.Open(cfg)
-		if err != nil {
-			return nil, err
-		}
-		objs := make([]lobstore.Object, clients)
-		mkErr := error(nil)
-		for i := range objs {
-			objs[i], mkErr = db.Create(fmt.Sprintf("c%d", i), lobstore.ObjectSpec{Engine: "esm", LeafPages: volBenchRunPages})
-			if mkErr != nil {
-				break
-			}
-		}
-		var res testing.BenchmarkResult
-		if mkErr == nil {
-			res = testing.Benchmark(benchEngineClients(db, objs, pageSize))
-		}
-		cerr := db.Close()
-		rerr := os.RemoveAll(dir)
-		if mkErr != nil {
-			return nil, mkErr
-		}
-		if cerr != nil {
-			return nil, cerr
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		bytesPerOp := float64(volBenchRunPages * pageSize)
-		ns := float64(res.NsPerOp())
-		mbps := 0.0
-		if ns > 0 {
-			mbps = bytesPerOp / ns * 1e9 / (1 << 20)
-		}
-		rep.Cases = append(rep.Cases, volBenchCase{
-			Name:        name,
-			NsPerOp:     ns,
-			MBPerS:      mbps,
-			AllocsPerOp: res.AllocsPerOp(),
-		})
+		rep.Cases = append(rep.Cases, vc)
 	}
 	return rep, nil
 }

@@ -14,16 +14,9 @@
 // each; the op mix is set by integer weights (-read/-append/-insert/
 // -delete/-stat) and key choice is uniform, Zipf-skewed (-zipf) or
 // hotspot (-hot-frac/-hot-set).
-//
-// With -json FILE the run is recorded as a named case in a
-// BENCH_server.json artifact (creating the file or replacing the case in
-// place), the format cmd/benchdiff compares across commits:
-//
-//	$ lobload -addr ... -clients 16 -name closed-16 -json BENCH_server.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -56,8 +49,6 @@ func main() {
 		rate       = flag.Float64("rate", 0, "open-loop target request rate per second (0 = closed loop)")
 		duration   = flag.Duration("duration", time.Second, "measured interval, after preload")
 		slo        = flag.Duration("slo", 0, "latency objective for goodput (0 = disabled)")
-		name       = flag.String("name", "", "case name for the -json artifact")
-		jsonPath   = flag.String("json", "", "record the run as a case in this BENCH_server.json file")
 	)
 	flag.Parse()
 
@@ -76,9 +67,6 @@ func main() {
 	code, err := loadgen.EngineCode(*engine)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *jsonPath != "" && *name == "" {
-		fatalf("-json requires -name")
 	}
 
 	spec := loadgen.Spec{
@@ -118,53 +106,6 @@ func main() {
 	if res.SLOUs > 0 {
 		fmt.Printf("goodput at %dµs SLO: %.0f ops/s\n", res.SLOUs, res.GoodputOpsPerSec)
 	}
-
-	if *jsonPath != "" {
-		if err := record(*jsonPath, *name, res); err != nil {
-			fatalf("recording %s: %v", *jsonPath, err)
-		}
-		fmt.Printf("recorded case %q in %s\n", *name, *jsonPath)
-	}
-}
-
-// serverCase is one named run in a BENCH_server.json artifact.
-type serverCase struct {
-	Name string `json:"name"`
-	*loadgen.Result
-}
-
-// artifact is the BENCH_server.json layout cmd/benchdiff ingests.
-type artifact struct {
-	ServerCases []serverCase `json:"server_cases"`
-}
-
-// record upserts the run as a named case in the artifact at path, so a
-// baseline script can accumulate several lobload invocations in one file.
-func record(path, name string, res *loadgen.Result) error {
-	var a artifact
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &a); err != nil {
-			return fmt.Errorf("existing artifact: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	replaced := false
-	for i := range a.ServerCases {
-		if a.ServerCases[i].Name == name {
-			a.ServerCases[i].Result = res
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		a.ServerCases = append(a.ServerCases, serverCase{Name: name, Result: res})
-	}
-	out, err := json.MarshalIndent(&a, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // parseSize parses a byte count with optional K/M suffix (powers of two).

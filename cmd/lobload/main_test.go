@@ -1,13 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"lobstore/internal/loadgen"
-)
+import "testing"
 
 func TestParseSize(t *testing.T) {
 	cases := []struct {
@@ -36,48 +29,5 @@ func TestParseSize(t *testing.T) {
 		if !c.err && got != c.want {
 			t.Errorf("parseSize(%q) = %d, want %d", c.in, got, c.want)
 		}
-	}
-}
-
-func TestRecordUpsert(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_server.json")
-
-	// Create, then add a second case, then replace the first.
-	if err := record(path, "a", &loadgen.Result{Mode: "closed", Clients: 1, OpsPerSec: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := record(path, "b", &loadgen.Result{Mode: "open", Clients: 4, OpsPerSec: 200}); err != nil {
-		t.Fatal(err)
-	}
-	if err := record(path, "a", &loadgen.Result{Mode: "closed", Clients: 1, OpsPerSec: 300}); err != nil {
-		t.Fatal(err)
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		t.Fatalf("artifact does not parse: %v", err)
-	}
-	if len(a.ServerCases) != 2 {
-		t.Fatalf("got %d cases, want 2", len(a.ServerCases))
-	}
-	if a.ServerCases[0].Name != "a" || a.ServerCases[0].OpsPerSec != 300 {
-		t.Errorf("case a = %+v, want replaced ops/s 300", a.ServerCases[0])
-	}
-	if a.ServerCases[1].Name != "b" || a.ServerCases[1].OpsPerSec != 200 {
-		t.Errorf("case b = %+v", a.ServerCases[1])
-	}
-}
-
-func TestRecordRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_server.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := record(path, "a", &loadgen.Result{}); err == nil {
-		t.Fatal("record over a corrupt artifact should fail, not clobber it")
 	}
 }

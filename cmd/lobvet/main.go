@@ -38,10 +38,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	tests := fs.Bool("tests", false, "also analyze in-package _test.go files")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	verbose := fs.Bool("v", false, "also print suppressed and baselined findings")
-	sarifPath := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file")
-	baselinePath := fs.String("baseline", "", "committed baseline file; findings recorded there warn instead of failing")
-	writeBaseline := fs.Bool("write-baseline", false, "regenerate the -baseline file from the current findings and exit")
+	verbose := fs.Bool("v", false, "also print suppressed findings")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: lobvet [flags] [packages]\n\npackages default to ./...\n\nflags:\n")
 		fs.PrintDefaults()
@@ -71,10 +68,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			}
 			analyzers = append(analyzers, a)
 		}
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintf(stderr, "lobvet: -write-baseline requires -baseline\n")
-		return 2
 	}
 
 	root, err := moduleRoot()
@@ -117,67 +110,22 @@ func run(args []string, stdout, stderr *os.File) int {
 		diags = append(diags, analysis.RunProgram(prog, pkg, analyzers)...)
 	}
 
-	if *writeBaseline {
-		b := analysis.NewBaseline(root, diags)
-		if err := b.Write(*baselinePath); err != nil {
-			fmt.Fprintf(stderr, "lobvet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "lobvet: baseline %s written with %d finding(s)\n",
-			*baselinePath, len(b.Findings))
-		return 0
-	}
-	stale := 0
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "lobvet: %v\n", err)
-			return 2
-		}
-		stale = b.Apply(root, diags)
-	}
-
-	findings, suppressed, baselined := 0, 0, 0
+	findings, suppressed := 0, 0
 	for _, d := range diags {
-		switch {
-		case d.Suppressed:
+		if d.Suppressed {
 			suppressed++
 			if *verbose {
 				fmt.Fprintf(stdout, "%s [suppressed: %s]\n", d, d.SuppressReason)
 			}
-		case d.Baselined:
-			baselined++
-			if *verbose {
-				fmt.Fprintf(stdout, "%s [baselined]\n", d)
-			}
-		default:
-			findings++
-			fmt.Fprintln(stdout, d)
+			continue
 		}
+		findings++
+		fmt.Fprintln(stdout, d)
 	}
 
-	if *sarifPath != "" {
-		f, err := os.Create(*sarifPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "lobvet: %v\n", err)
-			return 2
-		}
-		werr := analysis.WriteSARIF(f, root, analyzers, diags)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "lobvet: writing SARIF: %v\n", werr)
-			return 2
-		}
-	}
-
-	if *verbose || findings > 0 || baselined > 0 {
-		fmt.Fprintf(stdout, "lobvet: %d finding(s), %d baselined, %d suppressed, %d package(s)\n",
-			findings, baselined, suppressed, len(dirs))
-	}
-	if stale > 0 {
-		fmt.Fprintf(stdout, "lobvet: %d baseline entr(ies) no longer match any finding: regenerate with -write-baseline\n", stale)
+	if *verbose || findings > 0 {
+		fmt.Fprintf(stdout, "lobvet: %d finding(s), %d suppressed, %d package(s)\n",
+			findings, suppressed, len(dirs))
 	}
 	if findings > 0 {
 		return 1

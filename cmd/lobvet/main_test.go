@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,57 +61,14 @@ func TestBadPattern(t *testing.T) {
 	}
 }
 
-func TestSARIFOutput(t *testing.T) {
-	sarif := filepath.Join(t.TempDir(), "out.sarif")
-	code, out := capture(t, "-sarif", sarif, "./internal/sim")
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out)
+// TestFindingFailsRun pins the whole gate: a package with findings makes
+// lobvet print them and exit 1.
+func TestFindingFailsRun(t *testing.T) {
+	code, out := capture(t, "./internal/analysis/testdata/spanend")
+	if code != 1 {
+		t.Fatalf("exit %d over a package with findings, want 1:\n%s", code, out)
 	}
-	data, err := os.ReadFile(sarif)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name string `json:"name"`
-				} `json:"driver"`
-			} `json:"tool"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("SARIF file is not valid JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 || log.Runs[0].Tool.Driver.Name != "lobvet" {
-		t.Fatalf("unexpected SARIF shape: %s", data)
-	}
-}
-
-// TestBaselineRoundTripCLI regenerates a baseline over a clean package
-// and then checks against it: both invocations must exit 0.
-func TestBaselineRoundTripCLI(t *testing.T) {
-	baseline := filepath.Join(t.TempDir(), "baseline.json")
-	code, out := capture(t, "-baseline", baseline, "-write-baseline", "./internal/sim")
-	if code != 0 || !strings.Contains(out, "baseline") {
-		t.Fatalf("write-baseline: exit %d:\n%s", code, out)
-	}
-	code, out = capture(t, "-baseline", baseline, "./internal/sim")
-	if code != 0 {
-		t.Fatalf("check against fresh baseline: exit %d:\n%s", code, out)
-	}
-}
-
-func TestWriteBaselineRequiresBaseline(t *testing.T) {
-	if code, _ := capture(t, "-write-baseline", "./internal/sim"); code != 2 {
-		t.Fatalf("-write-baseline without -baseline: exit %d, want 2", code)
-	}
-}
-
-func TestMissingBaselineFile(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "no-such-baseline.json")
-	if code, _ := capture(t, "-baseline", missing, "./internal/sim"); code != 2 {
-		t.Fatalf("missing baseline file: exit %d, want 2", code)
+	if !strings.Contains(out, "spanend.go:") || !strings.Contains(out, "finding(s)") {
+		t.Fatalf("findings not printed:\n%s", out)
 	}
 }

@@ -64,10 +64,6 @@ type Diagnostic struct {
 	Suppressed bool
 	// SuppressReason is the explanation given with the suppression.
 	SuppressReason string
-	// Baselined records that a committed baseline entry absorbs the
-	// finding; baselined diagnostics do not fail the run but stay visible
-	// in SARIF output so the burn-down is auditable.
-	Baselined bool
 }
 
 func (d Diagnostic) String() string {

@@ -28,7 +28,8 @@ func TestFixedLeafScanFormula(t *testing.T) {
 func TestESMScanMatchesSimulation(t *testing.T) {
 	const objectBytes = 2 << 20
 	for _, leaf := range []int{4, 16} {
-		st := lobtest.NewStore(t, lobtest.TestParams())
+		p := lobtest.TestParams()
+		st := lobtest.NewStore(t, p)
 		o, err := esm.New(st, esm.Config{LeafPages: leaf})
 		if err != nil {
 			t.Fatal(err)
@@ -41,7 +42,7 @@ func TestESMScanMatchesSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := FixedLeafScan(st.Disk.Model(), objectBytes, leaf)
+		want := FixedLeafScan(p.Model, objectBytes, leaf)
 		if leaf <= st.Pool.MaxRun() {
 			// Leaves small enough to be buffered may hit pool residue from
 			// the build; allow the simulation to be cheaper, never dearer.
@@ -60,7 +61,8 @@ func TestESMScanMatchesSimulation(t *testing.T) {
 // cost against a real EOS object scanned in huge chunks.
 func TestSegmentedScanMatchesSimulation(t *testing.T) {
 	const objectBytes = 3 << 20
-	st := lobtest.NewStore(t, lobtest.TestParams())
+	p := lobtest.TestParams()
+	st := lobtest.NewStore(t, p)
 	o, err := eos.New(st, eos.Config{Threshold: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -69,12 +71,12 @@ func TestSegmentedScanMatchesSimulation(t *testing.T) {
 	if err := workload.Build(o, objectBytes, objectBytes); err != nil {
 		t.Fatal(err)
 	}
-	segs := DoublingSegments(st.Disk.Model(), objectBytes, st.MaxSegmentPages())
+	segs := DoublingSegments(p.Model, objectBytes, st.MaxSegmentPages())
 	stats, err := st.MeasureOp(func() error { return workload.Scan(o, objectBytes) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := SegmentedScan(st.Disk.Model(), segs)
+	want := SegmentedScan(p.Model, segs)
 	if stats.Time != want {
 		t.Fatalf("simulated %v, analytic %v (segments %v)", stats.Time, want, segs)
 	}
@@ -120,7 +122,8 @@ func TestRandomReadFormula(t *testing.T) {
 func TestStarburstInsertMatchesSimulation(t *testing.T) {
 	const objectBytes = 2 << 20
 	const insertBytes = 64 << 10
-	st := lobtest.NewStore(t, lobtest.TestParams())
+	p := lobtest.TestParams()
+	st := lobtest.NewStore(t, p)
 	cfg := starburst.Config{MaxSegmentPages: 64, CopyBufferBytes: 128 << 10}
 	o, err := starburst.New(st, cfg)
 	if err != nil {
@@ -129,14 +132,14 @@ func TestStarburstInsertMatchesSimulation(t *testing.T) {
 	if err := workload.Build(o, objectBytes, objectBytes); err != nil {
 		t.Fatal(err)
 	}
-	segs := DoublingSegments(st.Disk.Model(), objectBytes, cfg.MaxSegmentPages)
+	segs := DoublingSegments(p.Model, objectBytes, cfg.MaxSegmentPages)
 	stats, err := st.MeasureOp(func() error {
 		return o.Insert(0, make([]byte, insertBytes))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := StarburstInsertAtStart(st.Disk.Model(), segs, insertBytes,
+	want := StarburstInsertAtStart(p.Model, segs, insertBytes,
 		cfg.CopyBufferBytes, cfg.MaxSegmentPages)
 	if stats.Time != want {
 		t.Fatalf("simulated %v, analytic %v", stats.Time, want)

@@ -189,9 +189,6 @@ func (d *Disk) checkInjected(addr Addr, npages int, write bool) error {
 	return nil
 }
 
-// Model returns the disk's cost model.
-func (d *Disk) Model() sim.CostModel { return d.model }
-
 // Clock returns the simulated clock charged by this disk.
 func (d *Disk) Clock() *sim.Clock { return d.clock }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"testing"
 
 	"lobstore/internal/disk"
@@ -15,21 +14,8 @@ import (
 // stay lock-free-cheap: a mutex pair and a couple of integer updates,
 // zero allocations.
 func BenchmarkLockUncontended(b *testing.B) {
-	var t lockTable
-	l := t.get(disk.Addr{Area: 1, Page: 42})
-	ctx := context.Background()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := l.acquire(ctx, false); err != nil {
-			b.Fatal(err)
-		}
-		l.release(false)
-		if err := l.acquire(ctx, true); err != nil {
-			b.Fatal(err)
-		}
-		l.release(true)
-	}
+	LockCycle(b.N)
 }
 
 // BenchmarkLockTableGet measures the root→lock map hit path that runs

@@ -19,7 +19,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -34,28 +33,21 @@ import (
 // ErrClosed is wrapped by operations submitted after Close.
 var ErrClosed = errors.New("engine closed")
 
-// Options configures an Engine.
-type Options struct {
-	// Params is the geometry of the store being served; snapshot stripe
-	// stores are opened with the same geometry over a read-only view of
-	// the same volume.
-	Params store.Params
-	// Stripes is the number of independent snapshot-reader stripes
-	// (default 8). Objects hash to stripes by root address.
-	Stripes int
-	// SnapshotPoolFrames sizes each stripe's private buffer pool
-	// (default 16).
-	SnapshotPoolFrames int
-	// Metrics, when non-nil, receives lock-wait and epoch-hold latencies
-	// plus engine.* counters. It can also be attached (or replaced) later
-	// with SetMetrics.
-	Metrics *obs.Metrics
-}
+// Snapshot readers are spread over snapshotStripes independent stripes
+// (objects hash to stripes by root address), each with a private buffer
+// pool of snapshotPoolFrames frames.
+const (
+	snapshotStripes    = 8
+	snapshotPoolFrames = 16
+)
 
 // Engine is the concurrency layer above one deterministic store.
 type Engine struct {
-	st   *store.Store
-	opts Options
+	st *store.Store
+	// params is the geometry of the store being served; snapshot stripe
+	// stores are opened with the same geometry over a read-only view of
+	// the same volume.
+	params store.Params
 
 	// storemu serializes operations against the deterministic core.
 	storemu sync.Mutex
@@ -86,27 +78,19 @@ type Engine struct {
 	metrics atomic.Pointer[obs.Metrics]
 }
 
-// New wraps st. The engine installs itself into the store's barrier and
-// free paths; the store must not be used directly afterwards except
-// through the engine, until Close uninstalls the hooks.
-func New(st *store.Store, opts Options) *Engine {
-	if opts.Stripes <= 0 {
-		opts.Stripes = 8
-	}
-	if opts.SnapshotPoolFrames <= 0 {
-		opts.SnapshotPoolFrames = 16
-	}
+// New wraps st, a store opened with params. The engine installs itself
+// into the store's barrier and free paths; the store must not be used
+// directly afterwards except through the engine, until Close uninstalls
+// the hooks.
+func New(st *store.Store, params store.Params) *Engine {
 	e := &Engine{
 		st:         st,
-		opts:       opts,
-		stripes:    make([]stripe, opts.Stripes),
+		params:     params,
+		stripes:    make([]stripe, snapshotStripes),
 		writing:    make(map[disk.Addr]int),
 		rootSynced: make(map[disk.Addr]bool),
 	}
 	e.quiet = sync.NewCond(&e.storemu)
-	if opts.Metrics != nil {
-		e.metrics.Store(opts.Metrics)
-	}
 	st.SetRetireHook(e.onRetire)
 	st.Disk.SetSyncInterpose(e.syncInterpose)
 	return e
@@ -266,15 +250,11 @@ func (e *Engine) View(f func()) {
 }
 
 // Do executes f as an operation on the object rooted at root, holding its
-// lock in the requested mode. Lock acquisition is fair FIFO and aborts
-// with a wrapped ctx error on cancellation.
-func (e *Engine) Do(ctx context.Context, root disk.Addr, write bool, f func() error) error {
+// lock in the requested mode. Lock acquisition is fair FIFO.
+func (e *Engine) Do(root disk.Addr, write bool, f func() error) error {
 	l := e.locks.get(root)
 	start := obs.WallNow()
-	if err := l.acquire(ctx, write); err != nil {
-		e.addMetric("engine.lock.cancels", 1)
-		return err
-	}
+	l.acquire(write)
 	if m := e.metrics.Load(); m != nil {
 		m.ObserveLockWait(obs.WallNow() - start)
 	}
@@ -419,5 +399,5 @@ func (e *Engine) Close() error {
 
 // WrapObject adapts a core object to a Handle routed through the engine.
 func (e *Engine) WrapObject(obj core.Object, root disk.Addr) *Handle {
-	return &Handle{e: e, inner: obj, root: root, ctx: context.Background()}
+	return &Handle{e: e, inner: obj, root: root}
 }

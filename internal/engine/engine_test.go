@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -26,7 +25,7 @@ func newEngine(t *testing.T, frames int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(st, Options{Params: p})
+	e := New(st, p)
 	t.Cleanup(func() {
 		if err := e.Close(); err != nil {
 			// The engine could not quiesce (e.g. a failing test left a
@@ -63,24 +62,17 @@ func waitQueued(t *testing.T, l *objLock, want int) {
 // A writer queued behind a reader is granted before readers that arrived
 // after it: the queue is FIFO, so neither side starves.
 func TestLockFIFOWriterBeforeLaterReader(t *testing.T) {
-	l := &objLock{id: disk.Addr{Area: 1, Page: 7}}
-	ctx := context.Background()
-	if err := l.acquire(ctx, false); err != nil {
-		t.Fatal(err)
-	}
+	l := &objLock{}
+	l.acquire(false)
 	order := make(chan string, 2)
 	go func() {
-		if err := l.acquire(ctx, true); err != nil {
-			t.Error(err)
-		}
+		l.acquire(true)
 		order <- "writer"
 		l.release(true)
 	}()
 	waitQueued(t, l, 1)
 	go func() {
-		if err := l.acquire(ctx, false); err != nil {
-			t.Error(err)
-		}
+		l.acquire(false)
 		order <- "reader"
 		l.release(false)
 	}()
@@ -90,77 +82,6 @@ func TestLockFIFOWriterBeforeLaterReader(t *testing.T) {
 		t.Fatalf("queued writer should be granted first, got %q", first)
 	}
 	<-order
-}
-
-// Cancelled acquisitions report a wrapped ctx error and leave the queue
-// clean: waiters behind the cancelled one still get the lock.
-func TestLockCancelWrapsContextError(t *testing.T) {
-	l := &objLock{id: disk.Addr{Area: 1, Page: 9}}
-	bg := context.Background()
-	if err := l.acquire(bg, true); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(bg)
-	errc := make(chan error, 1)
-	go func() { errc <- l.acquire(ctx, true) }()
-	waitQueued(t, l, 1)
-
-	granted := make(chan error, 1)
-	go func() { granted <- l.acquire(bg, false) }()
-	waitQueued(t, l, 2)
-
-	cancel()
-	err := <-errc
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled acquire: got %v, want errors.Is(context.Canceled)", err)
-	}
-
-	// Dropping the queued writer must let the reader behind it through
-	// once the holder releases.
-	l.release(true)
-	select {
-	case err := <-granted:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("reader behind a cancelled writer never granted")
-	}
-	l.release(false)
-
-	tctx, tcancel := context.WithTimeout(bg, time.Microsecond)
-	defer tcancel()
-	if err := l.acquire(bg, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.acquire(tctx, true); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("timed-out acquire: got %v, want errors.Is(context.DeadlineExceeded)", err)
-	}
-	l.release(true)
-}
-
-// Engine.Do propagates the lock manager's cancellation error without
-// running the operation.
-func TestDoCancelledContext(t *testing.T) {
-	e := newEngine(t, 32)
-	root := disk.Addr{Area: 0, Page: 3}
-	l := e.locks.get(root)
-	if err := l.acquire(context.Background(), true); err != nil {
-		t.Fatal(err)
-	}
-	defer l.release(true)
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	ran := false
-	err := e.Do(ctx, root, true, func() error { ran = true; return nil })
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Do under held lock: got %v, want errors.Is(context.DeadlineExceeded)", err)
-	}
-	if ran {
-		t.Fatal("operation ran despite cancelled lock acquisition")
-	}
 }
 
 // Epoch reclamation defers exactly the batches an active pin could still
@@ -202,7 +123,7 @@ func TestClosedEngineRejectsWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	e := New(st, Options{Params: p})
+	e := New(st, p)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"context"
 	"sync"
 	"testing"
 
@@ -76,7 +75,6 @@ func hammer(t *testing.T, mc managerCase) {
 		maxSize = 64 << 10
 	)
 	e := newEngine(t, 128)
-	ctx := context.Background()
 
 	var (
 		obj  core.Object
@@ -111,7 +109,7 @@ func hammer(t *testing.T, mc managerCase) {
 		imgmu.Unlock()
 		return nil
 	}
-	if err := e.Do(ctx, root, true, record); err != nil {
+	if err := e.Do(root, true, record); err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,7 +122,7 @@ func hammer(t *testing.T, mc managerCase) {
 			for i := 0; i < ops; i++ {
 				k := id*ops + i
 				fill := bytes.Repeat([]byte{byte('a' + k%26)}, 700+(k%5)*300)
-				err := e.Do(ctx, root, true, func() error {
+				err := e.Do(root, true, func() error {
 					size := obj.Size()
 					var err error
 					switch {
@@ -218,7 +216,7 @@ func hammer(t *testing.T, mc managerCase) {
 	}
 
 	// The live object must still be fully intact.
-	if err := e.Do(ctx, root, false, func() error {
+	if err := e.Do(root, false, func() error {
 		size := obj.Size()
 		buf := make([]byte, size)
 		if size > 0 {
@@ -244,7 +242,6 @@ func TestSnapshotPreImageWhileWriterCommits(t *testing.T) {
 		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
 			e := newEngine(t, 64)
-			ctx := context.Background()
 			var (
 				obj  core.Object
 				root disk.Addr
@@ -257,7 +254,7 @@ func TestSnapshotPreImageWhileWriterCommits(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := bytes.Repeat([]byte{'x'}, 9000)
-			if err := e.Do(ctx, root, true, func() error { return obj.Append(before) }); err != nil {
+			if err := e.Do(root, true, func() error { return obj.Append(before) }); err != nil {
 				t.Fatal(err)
 			}
 
@@ -265,7 +262,7 @@ func TestSnapshotPreImageWhileWriterCommits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Do(ctx, root, true, func() error {
+			if err := e.Do(root, true, func() error {
 				if err := obj.Insert(4000, bytes.Repeat([]byte{'y'}, 5000)); err != nil {
 					return err
 				}
@@ -290,7 +287,7 @@ func TestSnapshotPreImageWhileWriterCommits(t *testing.T) {
 			}
 
 			var liveSize int64
-			if err := e.Do(ctx, root, false, func() error { liveSize = obj.Size(); return nil }); err != nil {
+			if err := e.Do(root, false, func() error { liveSize = obj.Size(); return nil }); err != nil {
 				t.Fatal(err)
 			}
 			if want := int64(len(before) + 5000 - 1000); liveSize != want {

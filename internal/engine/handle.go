@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"lobstore/internal/core"
@@ -17,22 +16,15 @@ type Handle struct {
 	e     *Engine
 	inner core.Object
 	root  disk.Addr
-	ctx   context.Context
 }
 
 var _ core.Object = (*Handle)(nil)
 
-// WithContext returns a handle whose lock acquisitions abort when ctx is
-// done, with an error wrapping ctx.Err().
-func (h *Handle) WithContext(ctx context.Context) *Handle {
-	return &Handle{e: h.e, inner: h.inner, root: h.root, ctx: ctx}
-}
-
 // Root returns the object's root/descriptor address.
 func (h *Handle) Root() disk.Addr { return h.root }
 
-func (h *Handle) read(f func() error) error  { return h.e.Do(h.ctx, h.root, false, f) }
-func (h *Handle) write(f func() error) error { return h.e.Do(h.ctx, h.root, true, f) }
+func (h *Handle) read(f func() error) error  { return h.e.Do(h.root, false, f) }
+func (h *Handle) write(f func() error) error { return h.e.Do(h.root, true, f) }
 
 func (h *Handle) Size() int64 {
 	var size int64

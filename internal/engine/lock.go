@@ -11,78 +11,40 @@
 package engine
 
 import (
-	"context"
-	"fmt"
 	"sync"
 
 	"lobstore/internal/disk"
 )
 
 // objLock is a fair reader/writer lock for one object. Unlike
-// sync.RWMutex, acquisition is context-cancellable and strictly FIFO:
-// a waiting writer blocks later readers, so neither side starves.
+// sync.RWMutex, acquisition is strictly FIFO: a waiting writer blocks
+// later readers, so neither side starves.
 type objLock struct {
 	mu      sync.Mutex
-	id      disk.Addr
 	writer  bool // a writer currently holds the lock
 	readers int  // readers currently holding the lock
 	queue   []*waiter
 }
 
+// waiter is one queued acquisition; ready is closed under objLock.mu when
+// the lock is handed to it.
 type waiter struct {
 	write bool
-	// granted flips under objLock.mu when the lock is handed to this
-	// waiter; ready is closed at the same moment. A cancelled waiter that
-	// finds granted set must release the lock it never used.
-	granted bool
-	ready   chan struct{}
+	ready chan struct{}
 }
 
-func lockMode(write bool) string {
-	if write {
-		return "write"
-	}
-	return "read"
-}
-
-// acquire blocks until the lock is granted in the requested mode or ctx is
-// done. Cancellation errors wrap ctx.Err() so callers can test them with
-// errors.Is(err, context.Canceled) / context.DeadlineExceeded.
-func (l *objLock) acquire(ctx context.Context, write bool) error {
+// acquire blocks until the lock is granted in the requested mode.
+func (l *objLock) acquire(write bool) {
 	l.mu.Lock()
 	if len(l.queue) == 0 && l.grantable(write) {
 		l.grant(write)
 		l.mu.Unlock()
-		return nil
+		return
 	}
 	w := &waiter{write: write, ready: make(chan struct{})}
 	l.queue = append(l.queue, w)
 	l.mu.Unlock()
-
-	select {
-	case <-w.ready:
-		return nil
-	case <-ctx.Done():
-	}
-
-	l.mu.Lock()
-	if w.granted {
-		// The grant raced the cancellation; the lock is ours, so hand it
-		// straight back before reporting the cancellation.
-		l.mu.Unlock()
-		l.release(write)
-		return fmt.Errorf("engine: %s lock on object %v: %w", lockMode(write), l.id, ctx.Err())
-	}
-	for i, q := range l.queue {
-		if q == w {
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			break
-		}
-	}
-	// Removing a queued writer can unblock readers queued behind it.
-	l.promote()
-	l.mu.Unlock()
-	return fmt.Errorf("engine: %s lock on object %v: %w", lockMode(write), l.id, ctx.Err())
+	<-w.ready
 }
 
 // release returns the lock held in the given mode and wakes waiters.
@@ -128,7 +90,6 @@ func (l *objLock) promote() {
 		}
 		l.queue = l.queue[1:]
 		l.grant(w.write)
-		w.granted = true
 		close(w.ready)
 		if w.write {
 			return
@@ -152,7 +113,7 @@ func (t *lockTable) get(id disk.Addr) *objLock {
 		if t.locks == nil {
 			t.locks = make(map[disk.Addr]*objLock)
 		}
-		l = &objLock{id: id}
+		l = &objLock{}
 		t.locks[id] = l
 	}
 	t.objmu.Unlock()
@@ -164,19 +125,13 @@ func (t *lockTable) get(id disk.Addr) *objLock {
 // serving operation pays before touching the store. Exported for the
 // lobbench micro harness, which pins its cost (and zero-allocation
 // behaviour) in the tracked bench artifact.
-func LockCycle(n int) error {
+func LockCycle(n int) {
 	var t lockTable
 	l := t.get(disk.Addr{Area: 1, Page: 42})
-	ctx := context.Background()
 	for i := 0; i < n; i++ {
-		if err := l.acquire(ctx, false); err != nil {
-			return err
-		}
+		l.acquire(false)
 		l.release(false)
-		if err := l.acquire(ctx, true); err != nil {
-			return err
-		}
+		l.acquire(true)
 		l.release(true)
 	}
-	return nil
 }

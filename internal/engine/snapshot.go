@@ -120,10 +120,10 @@ func (s *stripe) ensure(e *Engine) error {
 		return nil
 	}
 	view := newAttachView(e.st.Disk.Volume())
-	p := e.opts.Params
+	p := e.params
 	p.Volume = view
 	p.Materialize = true
-	p.Pool.Frames = e.opts.SnapshotPoolFrames
+	p.Pool.Frames = snapshotPoolFrames
 	if p.Pool.MaxRun > p.Pool.Frames {
 		p.Pool.MaxRun = p.Pool.Frames
 	}

@@ -36,11 +36,7 @@ import (
 // Mix is an operation mix in relative weights. A zero Mix defaults to
 // 80/20 read/append.
 type Mix struct {
-	Read   int `json:"read"`
-	Append int `json:"append"`
-	Insert int `json:"insert"`
-	Delete int `json:"delete"`
-	Stat   int `json:"stat"`
+	Read, Append, Insert, Delete, Stat int
 }
 
 func (m Mix) total() int { return m.Read + m.Append + m.Insert + m.Delete + m.Stat }
@@ -86,23 +82,22 @@ type Spec struct {
 	SLOMicros int64
 }
 
-// Result is one run's measurements; it marshals as a BENCH_server.json
-// case body.
+// Result is one run's measurements.
 type Result struct {
-	Mode             string  `json:"mode"` // "closed" or "open"
-	Clients          int     `json:"clients"`
-	TargetRate       float64 `json:"target_rate,omitempty"`
-	ElapsedMs        float64 `json:"elapsed_ms"`
-	Ops              int64   `json:"ops"`
-	Errors           int64   `json:"errors"`
-	OpsPerSec        float64 `json:"ops_per_sec"`
-	MeanUs           float64 `json:"mean_us"`
-	P50Us            int64   `json:"p50_us"`
-	P95Us            int64   `json:"p95_us"`
-	P99Us            int64   `json:"p99_us"`
-	MaxUs            int64   `json:"max_us"`
-	SLOUs            int64   `json:"slo_us,omitempty"`
-	GoodputOpsPerSec float64 `json:"goodput_ops_per_sec,omitempty"`
+	Mode             string // "closed" or "open"
+	Clients          int
+	TargetRate       float64
+	ElapsedMs        float64
+	Ops              int64
+	Errors           int64
+	OpsPerSec        float64
+	MeanUs           float64
+	P50Us            int64
+	P95Us            int64
+	P99Us            int64
+	MaxUs            int64
+	SLOUs            int64
+	GoodputOpsPerSec float64
 }
 
 func (s *Spec) defaults() error {

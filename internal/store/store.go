@@ -579,7 +579,10 @@ func (s *Store) Close() error {
 	return s.Disk.Close()
 }
 
-// MeasureOp runs f and returns the disk activity it caused.
+// MeasureOp runs f and returns the disk activity it caused. Only tests call
+// it, but it lives here rather than in internal/lobtest: store's own
+// in-package tests use it and cannot import lobtest, which imports store,
+// and the tests of four packages share it.
 func (s *Store) MeasureOp(f func() error) (sim.Stats, error) {
 	before := s.Disk.Stats()
 	err := f()

@@ -235,7 +235,7 @@ type DB struct {
 
 // enableEngine routes the database through the concurrency layer.
 func (db *DB) enableEngine() {
-	db.eng = engine.New(db.st, engine.Options{Params: storeParams(db.cfg)})
+	db.eng = engine.New(db.st, storeParams(db.cfg))
 }
 
 // storeParams translates the public configuration into store parameters.

@@ -200,8 +200,8 @@ func TestOffModeTraceUnchanged(t *testing.T) {
 	// dark with Concurrent unset: no lock, snapshot or epoch activity may
 	// leak into off-mode accounting (the traces compared above would
 	// catch extra I/O; these counters catch the engine running at all).
-	for _, c := range []string{"engine.lock.acquires", "engine.lock.cancels",
-		"engine.snapshot.opens", "engine.epoch.retired", "engine.epoch.reclaimed"} {
+	for _, c := range []string{"engine.lock.acquires", "engine.snapshot.opens",
+		"engine.epoch.retired", "engine.epoch.reclaimed"} {
 		if n := m.Counter(c); n != 0 {
 			t.Fatalf("off-mode metrics: %s = %d, want 0", c, n)
 		}
