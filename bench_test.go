@@ -123,6 +123,7 @@ func BenchmarkMicroESMRead10K(b *testing.B) {
 func BenchmarkMicroEOSInsertDelete(b *testing.B) {
 	db, obj := benchObject(b, func(db *lobstore.DB) (lobstore.Object, error) { return db.NewEOS(4) }, 4<<20)
 	data := make([]byte, 1000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := int64(i*7919) % obj.Size()
@@ -148,6 +149,7 @@ func BenchmarkMicroStarburstAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	chunk := make([]byte, 32<<10)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := obj.Append(chunk); err != nil {

@@ -11,9 +11,15 @@ import (
 
 	"lobstore"
 	"lobstore/internal/buffer"
+	"lobstore/internal/core"
 	"lobstore/internal/disk"
 	"lobstore/internal/engine"
+	"lobstore/internal/eos"
+	"lobstore/internal/esm"
+	"lobstore/internal/lobtest"
 	"lobstore/internal/sim"
+	"lobstore/internal/starburst"
+	"lobstore/internal/store"
 	"lobstore/internal/wire"
 )
 
@@ -76,6 +82,7 @@ type microResult struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
 // benchTracker attributes simulated time to phases by remembering every
@@ -134,9 +141,11 @@ func (t *benchTracker) measurePhase(name string, fn func() error) (benchPhase, e
 // via testing.Benchmark: the buffer pool's multi-page hit path and its
 // single-page miss at two pool sizes (victim selection must not make a
 // miss cost more in a larger pool), the simulated disk's materialized
-// read, the engine lock manager's uncontended cycle, and the wire
-// protocol's loopback round trip at pipeline depths 1 and 16. All were (or
-// guard against becoming) allocation sites; the JSON keeps them pinned.
+// read, the engine lock manager's uncontended cycle, the wire protocol's
+// loopback round trip at pipeline depths 1 and 16, and one insert or
+// delete of lobtest's mutation stream on each manager (the stream its
+// allocation-budget tests run). All were (or guard against becoming)
+// allocation sites; the JSON keeps them pinned.
 func microBenchmarks() []microResult {
 	specs := []struct {
 		name string
@@ -150,6 +159,21 @@ func microBenchmarks() []microResult {
 		{"LockUncontended", benchLockUncontended},
 		{"WireRoundTripSerial", func(b *testing.B) { benchWireRoundTrip(b, 1) }},
 		{"WireRoundTripPipelined", func(b *testing.B) { benchWireRoundTrip(b, 16) }},
+		{"MutationEOS16", func(b *testing.B) {
+			lobtest.BenchMutations(b, func(st *store.Store) (core.Object, error) {
+				return eos.New(st, eos.Config{Threshold: 16})
+			}, 2000)
+		}},
+		{"MutationESM4", func(b *testing.B) {
+			lobtest.BenchMutations(b, func(st *store.Store) (core.Object, error) {
+				return esm.New(st, esm.Config{LeafPages: 4})
+			}, 2000)
+		}},
+		{"MutationStarburst", func(b *testing.B) {
+			lobtest.BenchMutations(b, func(st *store.Store) (core.Object, error) {
+				return starburst.New(st, starburst.Config{})
+			}, 200)
+		}},
 	}
 	out := make([]microResult, 0, len(specs))
 	for _, s := range specs {
@@ -158,6 +182,7 @@ func microBenchmarks() []microResult {
 			Name:        s.name,
 			NsPerOp:     float64(res.NsPerOp()),
 			AllocsPerOp: res.AllocsPerOp(),
+			BytesPerOp:  res.AllocedBytesPerOp(),
 		})
 	}
 	return out

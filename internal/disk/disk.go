@@ -55,7 +55,11 @@ func (a Addr) Add(n int) Addr {
 // for concurrent use; the simulation is single-threaded by design so that
 // cost accounting is deterministic.
 type Disk struct {
-	vol         Volume
+	vol Volume
+	// volSync is vol.Sync, bound once: Barrier hands it to the sync
+	// interposer, and a method value made per call would be a heap
+	// allocation per barrier.
+	volSync     func() error
 	model       sim.CostModel
 	clock       *sim.Clock
 	stats       sim.Stats
@@ -125,6 +129,7 @@ func New(model sim.CostModel, clock *sim.Clock, opts ...Option) (*Disk, error) {
 	if d.vol == nil {
 		d.vol = NewMemVolume(model.PageSize)
 	}
+	d.volSync = d.vol.Sync
 	if ps := d.vol.PageSize(); ps != model.PageSize {
 		return nil, fmt.Errorf("disk: volume page size %d, cost model page size %d", ps, model.PageSize)
 	}
@@ -302,13 +307,12 @@ func (d *Disk) Write(addr Addr, npages int, src []byte) error {
 // barrier that flushed emits vol.groupcommit and vol.fsync events, batches
 // of one when group commit is off.
 func (d *Disk) Barrier() error {
-	sync := d.vol.Sync
 	if d.syncInterpose != nil {
-		err := d.syncInterpose(sync)
+		err := d.syncInterpose(d.volSync)
 		if err != nil {
 			return fmt.Errorf("disk: sync barrier: %w", err)
 		}
-	} else if err := sync(); err != nil {
+	} else if err := d.volSync(); err != nil {
 		return fmt.Errorf("disk: sync barrier: %w", err)
 	}
 	// The snapshot advances on every barrier, traced or not, so the first

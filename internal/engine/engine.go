@@ -126,9 +126,9 @@ func (e *Engine) syncInterpose(sync func() error) error {
 }
 
 // onRetire runs inside EndOp, under storemu, when an operation's deferred
-// frees are handed over instead of being applied inline. The batch is
-// tagged with the current epoch; anything no snapshot reader can still
-// observe is reclaimed immediately.
+// frees are handed over instead of being applied inline. A copy of the
+// batch is tagged with the current epoch; anything no snapshot reader can
+// still observe is reclaimed immediately.
 func (e *Engine) onRetire(leaf []store.Segment, meta []disk.Addr) error {
 	e.epochs.retire(leaf, meta, obs.WallNow())
 	e.addMetric("engine.epoch.retired", 1)
@@ -163,6 +163,7 @@ func (e *Engine) reclaimLocked() error {
 		if err := e.st.ApplyFrees(b.leaf, b.meta); err != nil {
 			return err
 		}
+		e.epochs.recycle(b)
 		if m := e.metrics.Load(); m != nil {
 			m.ObserveEpochHold(obs.WallNow() - b.born)
 		}
@@ -176,7 +177,7 @@ func (e *Engine) reclaimLocked() error {
 // impossible and a fresh heap OpState per request would be the busiest
 // allocation on the serving hot path. Ownership is strict: an OpState is
 // returned to the pool only after its operation fully ended (EndOp has
-// transferred any pending frees out by then).
+// handed any pending frees out by then).
 var opPool = sync.Pool{New: func() any { return new(store.OpState) }}
 
 // Run executes f against the core under storemu with a private OpState.

@@ -11,9 +11,17 @@ import (
 	"lobstore/internal/store"
 )
 
+// testParams sizes segments for the engine tests' small objects. The
+// default 8192-page maximum fits only seven buddy spaces in the leaf
+// area, and a Starburst append after a reorganisation takes a maximal
+// segment: with snapshot readers pinning the epochs that retire them,
+// seven such segments can be held at once and the next allocation finds
+// the area full. At 512 pages the area holds 127 spaces, more than the
+// hammer's 60 mutations can pin.
 func testParams(frames int) store.Params {
 	p := store.DefaultParams()
 	p.Pool.Frames = frames
+	p.MaxOrder = 9
 	p.Volume = NewLatchedVolume(disk.NewMemVolume(p.Model.PageSize))
 	return p
 }

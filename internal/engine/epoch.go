@@ -32,6 +32,7 @@ type epochs struct {
 	current uint64
 	active  map[uint64]int // pin count per epoch
 	batches []retireBatch  // ascending epoch order
+	spare   []retireBatch  // emptied slices of reclaimed batches, for reuse
 }
 
 // pin registers a snapshot reader against the current epoch and returns
@@ -58,13 +59,27 @@ func (e *epochs) unpin(ep uint64) {
 	e.epochmu.Unlock()
 }
 
-// retire queues a batch of deferred frees under the current epoch and
-// advances it, so every pin taken after this point is newer than the
-// batch.
+// retire queues a copy of a batch of deferred frees under the current
+// epoch and advances it, so every pin taken after this point is newer
+// than the batch.
 func (e *epochs) retire(leaf []store.Segment, meta []disk.Addr, now int64) {
 	e.epochmu.Lock()
-	e.batches = append(e.batches, retireBatch{epoch: e.current, leaf: leaf, meta: meta, born: now})
+	b := retireBatch{epoch: e.current, born: now}
+	if n := len(e.spare); n > 0 {
+		b.leaf, b.meta = e.spare[n-1].leaf, e.spare[n-1].meta
+		e.spare = e.spare[:n-1]
+	}
+	b.leaf = append(b.leaf, leaf...)
+	b.meta = append(b.meta, meta...)
+	e.batches = append(e.batches, b)
 	e.current++
+	e.epochmu.Unlock()
+}
+
+// recycle keeps a reclaimed batch's slices for a later retire.
+func (e *epochs) recycle(b retireBatch) {
+	e.epochmu.Lock()
+	e.spare = append(e.spare, retireBatch{leaf: b.leaf[:0], meta: b.meta[:0]})
 	e.epochmu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -138,6 +139,9 @@ func hammer(t *testing.T, mc managerCase) {
 					if err != nil {
 						return err
 					}
+					if err := leafAccounted(e, obj); err != nil {
+						return err
+					}
 					return record()
 				})
 				if err != nil {
@@ -226,6 +230,26 @@ func hammer(t *testing.T, mc managerCase) {
 	}); err != nil {
 		t.Fatalf("final read of live object: %v", err)
 	}
+}
+
+// leafAccounted checks that every allocated leaf page belongs to the live
+// object or to a retired batch still held back for a snapshot reader, so
+// a run that ends in "area full" has run out of space, not leaked it.
+// Callers hold storemu.
+func leafAccounted(e *Engine, obj core.Object) error {
+	var held int64
+	e.epochs.epochmu.Lock()
+	for _, b := range e.epochs.batches {
+		for _, seg := range b.leaf {
+			held += int64(seg.Pages)
+		}
+	}
+	e.epochs.epochmu.Unlock()
+	used, live := e.st.Leaf.UsedBlocks(), obj.Utilization().DataPages
+	if used != live+held {
+		return fmt.Errorf("leaf pages: %d allocated, %d live + %d retired", used, live, held)
+	}
+	return nil
 }
 
 type errTorn disk.Addr

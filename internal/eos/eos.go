@@ -145,9 +145,10 @@ func (o *Object) trimSeg(seg store.Segment, keep int) (store.Segment, error) {
 	return trimmed, nil
 }
 
-// readEntry fetches a byte range of a leaf segment.
+// readEntry fetches a byte range of a leaf segment into a staged buffer,
+// valid until the operation ends.
 func (o *Object) readEntry(e postree.Entry, off, n int64) ([]byte, error) {
-	buf := make([]byte, n)
+	buf := o.st.Stage(int(n))
 	if err := o.st.ReadRange(o.seg(e), off, buf); err != nil {
 		return nil, err
 	}

@@ -338,3 +338,12 @@ func TestRandomizedBigMax(t *testing.T) {
 	h, _, _ := harness(t, Config{Threshold: 8}, 16)
 	h.RandomOps(200, 100000)
 }
+
+// TestMutationAllocBudget pins what a warmed insert or delete allocates:
+// the segment reads of a split or a threshold merge come from the store's
+// per-operation arena, not the heap.
+func TestMutationAllocBudget(t *testing.T) {
+	lobtest.CheckMutationAllocBudget(t, func(st *store.Store) (core.Object, error) {
+		return New(st, Config{Threshold: 16})
+	}, 2000, 3000)
+}

@@ -37,17 +37,17 @@ func (o *Object) insertOp(off int64, data []byte) error {
 	offIn := off - start
 	P := int64(o.st.PageSize())
 
-	var entries []postree.Entry
+	var ebuf [4]postree.Entry
+	entries := ebuf[:0]
 	// A: bytes [0, offIn) stay exactly where they are.
 	if offIn > 0 {
 		entries = append(entries, postree.Entry{Bytes: offIn, Ptr: e.Ptr})
 	}
 	// D: the new bytes, in as many pages as necessary.
-	des, err := o.writeData(data)
+	entries, err = o.writeData(entries, data)
 	if err != nil {
 		return err
 	}
-	entries = append(entries, des...)
 	// B: bytes [offIn, bS). The fragment B1 sharing A's last page moves to
 	// a fresh segment; the page-aligned rest B2 stays in place.
 	if offIn == 0 {
@@ -89,10 +89,9 @@ func (o *Object) insertOp(off int64, data []byte) error {
 }
 
 // writeData materializes new bytes as segments of at most MaxSegmentPages,
-// each written with one sequential I/O.
-func (o *Object) writeData(data []byte) ([]postree.Entry, error) {
+// each written with one sequential I/O, and appends their entries to out.
+func (o *Object) writeData(out []postree.Entry, data []byte) ([]postree.Entry, error) {
 	maxBytes := o.cfg.MaxSegmentPages * o.st.PageSize()
-	var out []postree.Entry
 	for len(data) > 0 {
 		n := len(data)
 		if n > maxBytes {
@@ -166,7 +165,8 @@ func (o *Object) deleteOp(off, n int64) error {
 			if c1End > e.Bytes {
 				c1End = e.Bytes
 			}
-			var entries []postree.Entry
+			var ebuf [3]postree.Entry
+			entries := ebuf[:0]
 			if offIn > 0 {
 				entries = append(entries, postree.Entry{Bytes: offIn, Ptr: e.Ptr})
 			}
@@ -338,15 +338,14 @@ func (o *Object) mergePair(a postree.Entry, aPath postree.Path, b postree.Entry)
 	if o.st.Obs.Enabled() {
 		o.st.Obs.Emit(obs.Event{Kind: obs.KindLeafMerge})
 	}
-	ab, err := o.readEntry(a, 0, a.Bytes)
-	if err != nil {
+	both := o.st.Stage(int(a.Bytes + b.Bytes))
+	if err := o.st.ReadRange(o.seg(a), 0, both[:a.Bytes]); err != nil {
 		return err
 	}
-	bb, err := o.readEntry(b, 0, b.Bytes)
-	if err != nil {
+	if err := o.st.ReadRange(o.seg(b), 0, both[a.Bytes:]); err != nil {
 		return err
 	}
-	ne, err := o.repack(append(ab, bb...))
+	ne, err := o.repack(both)
 	if err != nil {
 		return err
 	}

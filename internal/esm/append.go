@@ -68,11 +68,11 @@ func (o *Object) appendOp(data []byte) error {
 	if keepR {
 		combined = data // only the new bytes move
 	} else {
-		rbytes, err := o.readLeaf(e)
-		if err != nil {
+		combined = o.st.Stage(int(total))
+		if err := o.readRange(e, 0, combined[:e.Bytes]); err != nil {
 			return err
 		}
-		combined = append(rbytes, data...)
+		copy(combined[e.Bytes:], data)
 	}
 
 	if pour > 0 {

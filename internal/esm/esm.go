@@ -58,11 +58,10 @@ type Config struct {
 type Object struct {
 	postree.Object
 	// st and tree are the shell's store and tree, for the update code.
-	st       *store.Store
-	tree     *postree.Tree
-	cfg      Config
-	leafCap  int64  // leaf capacity in bytes
-	wholeBuf []byte // staging buffer for the WholeLeafIO ablation
+	st      *store.Store
+	tree    *postree.Tree
+	cfg     Config
+	leafCap int64 // leaf capacity in bytes
 }
 
 var _ core.Object = (*Object)(nil)
@@ -114,10 +113,11 @@ func (o *Object) seg(e postree.Entry) store.Segment {
 	return o.st.LeafSegment(e.Ptr, o.cfg.LeafPages)
 }
 
-// readLeaf fetches all useful bytes of a leaf. Only the pages containing
-// data are transferred (unless WholeLeafIO is set).
+// readLeaf fetches all useful bytes of a leaf into a staged buffer, valid
+// until the operation ends. Only the pages containing data are transferred
+// (unless WholeLeafIO is set).
 func (o *Object) readLeaf(e postree.Entry) ([]byte, error) {
-	buf := make([]byte, e.Bytes)
+	buf := o.st.Stage(int(e.Bytes))
 	if err := o.readRange(e, 0, buf); err != nil {
 		return nil, err
 	}
@@ -131,10 +131,7 @@ func (o *Object) readRange(e postree.Entry, off int64, dst []byte) error {
 	if !o.cfg.WholeLeafIO {
 		return o.st.ReadRange(o.seg(e), off, dst)
 	}
-	if cap(o.wholeBuf) < int(o.leafCap) {
-		o.wholeBuf = make([]byte, o.leafCap)
-	}
-	buf := o.wholeBuf[:o.leafCap]
+	buf := o.st.Stage(int(o.leafCap))
 	if err := o.st.ReadRange(o.seg(e), 0, buf); err != nil {
 		return err
 	}

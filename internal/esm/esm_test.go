@@ -296,3 +296,12 @@ func TestUtilizationAfterBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestMutationAllocBudget pins what a warmed insert or delete allocates:
+// the leaf copies of a shadow update, a split or a seam merge come from
+// the store's per-operation arena, not the heap.
+func TestMutationAllocBudget(t *testing.T) {
+	lobtest.CheckMutationAllocBudget(t, func(st *store.Store) (core.Object, error) {
+		return New(st, Config{LeafPages: 4})
+	}, 2000, 3000)
+}

@@ -1,6 +1,7 @@
 package esm
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -84,35 +85,17 @@ func TestEvenLayoutHalfFull(t *testing.T) {
 	}
 }
 
-// Property: splice(content, cut, data, drop) produces
-// content[:cut] + data + content[cut+drop:].
+// Property: splice(dst, content, cut, data) fills dst with
+// content[:cut] + data + content[cut:].
 func TestSpliceProperty(t *testing.T) {
-	prop := func(content, data []byte, cutRaw, dropRaw uint16) bool {
+	prop := func(content, data []byte, cutRaw uint16) bool {
 		if len(content) == 0 {
 			content = []byte{0}
 		}
 		cut := int64(cutRaw) % int64(len(content))
-		drop := int64(dropRaw) % (int64(len(content)) - cut + 1)
-		out := splice(content, cut, data, drop)
-		if int64(len(out)) != int64(len(content))+int64(len(data))-drop {
-			return false
-		}
-		for i := int64(0); i < cut; i++ {
-			if out[i] != content[i] {
-				return false
-			}
-		}
-		for i := range data {
-			if out[cut+int64(i)] != data[i] {
-				return false
-			}
-		}
-		for i := cut + drop; i < int64(len(content)); i++ {
-			if out[cut+int64(len(data))+i-cut-drop] != content[i] {
-				return false
-			}
-		}
-		return true
+		want := append(append(append([]byte{}, content[:cut]...), data...), content[cut:]...)
+		out := splice(make([]byte, len(content)+len(data)), content, cut, data)
+		return bytes.Equal(out, want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)

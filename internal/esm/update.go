@@ -33,11 +33,11 @@ func (o *Object) insertOp(off int64, data []byte) error {
 		if o.cfg.NoShadow {
 			// Ablation: update in place — read and rewrite only the
 			// shifted suffix of the leaf.
-			tail := make([]byte, e.Bytes-offIn)
-			if err := o.readRange(e, offIn, tail); err != nil {
+			moved := o.st.Stage(int(total - offIn))
+			copy(moved, data)
+			if err := o.readRange(e, offIn, moved[len(data):]); err != nil {
 				return err
 			}
-			moved := append(append([]byte{}, data...), tail...)
 			if err := o.st.WriteRange(o.seg(e), offIn, moved); err != nil {
 				return err
 			}
@@ -51,8 +51,7 @@ func (o *Object) insertOp(off int64, data []byte) error {
 		if err != nil {
 			return err
 		}
-		spliced := splice(content, offIn, data, 0)
-		ne, err := o.allocLeaf(spliced)
+		ne, err := o.allocLeaf(splice(o.st.Stage(int(total)), content, offIn, data))
 		if err != nil {
 			return err
 		}
@@ -81,8 +80,8 @@ func (o *Object) insertOp(off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	spliced := splice(content, offIn, data, 0)
-	entries, err := o.writePieces(spliced, evenLayout(int64(len(spliced)), o.leafCap))
+	spliced := splice(o.st.Stage(int(total)), content, offIn, data)
+	entries, err := o.writePieces(spliced, evenLayout(total, o.leafCap))
 	if err != nil {
 		return err
 	}
@@ -109,7 +108,8 @@ func (o *Object) insertWithNeighbour(e postree.Entry, path postree.Path, offIn i
 		path   postree.Path
 		isLeft bool
 	}
-	var candidates []side
+	var sides [2]side
+	candidates := sides[:0]
 	if pe, pp, ok, err := o.tree.PrevLeaf(path); err != nil {
 		return false, err
 	} else if ok {
@@ -126,20 +126,18 @@ func (o *Object) insertWithNeighbour(e postree.Entry, path postree.Path, offIn i
 		}
 		// Redistribute [neighbour|this] (or [this|neighbour]) evenly over
 		// the same two leaves.
+		combined := o.st.Stage(int(c.e.Bytes + total))
+		spliced, nbytes := combined[c.e.Bytes:], combined[:c.e.Bytes]
+		if !c.isLeft {
+			spliced, nbytes = combined[:total], combined[total:]
+		}
 		content, err := o.readLeaf(e)
 		if err != nil {
 			return false, err
 		}
-		spliced := splice(content, offIn, data, 0)
-		nbytes, err := o.readLeaf(c.e)
-		if err != nil {
+		splice(spliced, content, offIn, data)
+		if err := o.readRange(c.e, 0, nbytes); err != nil {
 			return false, err
-		}
-		var combined []byte
-		if c.isLeft {
-			combined = append(nbytes, spliced...)
-		} else {
-			combined = append(spliced, nbytes...)
 		}
 		half := int64(len(combined)+1) / 2
 		first, err := o.allocLeaf(combined[:half])
@@ -234,7 +232,7 @@ func (o *Object) deleteOp(off, n int64) error {
 			if err != nil {
 				return err
 			}
-			kept := append(content[:offIn:offIn], content[offIn+remaining:]...)
+			kept := append(content[:offIn], content[offIn+remaining:]...)
 			ne, err := o.allocLeaf(kept)
 			if err != nil {
 				return err
@@ -309,15 +307,13 @@ func (o *Object) mergeOrShare(e postree.Entry, path postree.Path) error {
 	} else {
 		leftE, leftP, rightE, rightP = e, path, nb, npth
 	}
-	lb, err := o.readLeaf(leftE)
-	if err != nil {
+	combined := o.st.Stage(int(leftE.Bytes + rightE.Bytes))
+	if err := o.readRange(leftE, 0, combined[:leftE.Bytes]); err != nil {
 		return err
 	}
-	rb, err := o.readLeaf(rightE)
-	if err != nil {
+	if err := o.readRange(rightE, 0, combined[leftE.Bytes:]); err != nil {
 		return err
 	}
-	combined := append(lb, rb...)
 
 	if int64(len(combined)) <= o.leafCap {
 		if o.st.Obs.Enabled() {
@@ -429,13 +425,13 @@ func (o *Object) replaceOp(off int64, data []byte) error {
 	return o.tree.FlushOp()
 }
 
-// splice returns content with drop bytes at cut replaced by data.
-func splice(content []byte, cut int64, data []byte, drop int64) []byte {
-	out := make([]byte, 0, int64(len(content))+int64(len(data))-drop)
-	out = append(out, content[:cut]...)
-	out = append(out, data...)
-	out = append(out, content[cut+drop:]...)
-	return out
+// splice fills dst, which holds len(content)+len(data) bytes, with
+// content with data inserted at cut, and returns it.
+func splice(dst, content []byte, cut int64, data []byte) []byte {
+	n := copy(dst, content[:cut])
+	n += copy(dst[n:], data)
+	copy(dst[n:], content[cut:])
+	return dst
 }
 
 // evenLayout cuts n bytes into the minimum number of pieces of at most cap

@@ -1,8 +1,9 @@
 package postree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lobstore/internal/disk"
 )
@@ -20,20 +21,12 @@ import (
 // recorded address when its child relocates. The manager must call FlushOp
 // at the end of every operation that modified the object.
 func (t *Tree) FlushOp() error {
-	type item struct {
-		addr disk.Addr
-		rec  *dirtyRec
-	}
-	items := make([]item, 0, len(t.dirty))
+	items := t.flushItems[:0]
 	for a, r := range t.dirty {
-		items = append(items, item{a, r})
+		items = append(items, flushItem{a, r})
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].rec.level != items[j].rec.level {
-			return items[i].rec.level < items[j].rec.level
-		}
-		return items[i].addr.Page < items[j].addr.Page
-	})
+	slices.SortFunc(items, flushOrder)
+	t.flushItems = items
 
 	// relocated maps old page addresses to their shadow locations so later
 	// parent fix-ups can follow a page that has already moved (it cannot
@@ -73,6 +66,19 @@ func (t *Tree) FlushOp() error {
 	clear(t.dirty)
 	t.rootDirty = false
 	return nil
+}
+
+type flushItem struct {
+	addr disk.Addr
+	rec  *dirtyRec
+}
+
+// flushOrder sorts dirty pages lowest level first, then by page number.
+func flushOrder(a, b flushItem) int {
+	if c := cmp.Compare(a.rec.level, b.rec.level); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.addr.Page, b.addr.Page)
 }
 
 // shadowPage moves a dirty index page to a freshly allocated location,

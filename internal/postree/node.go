@@ -166,14 +166,24 @@ func (n node) setEntries(es []Entry) {
 }
 
 // replacePairs substitutes the drop pairs starting at index i with the
-// given entries, shifting the remainder. The caller must ensure capacity.
+// given entries, shifting the remainder within the page. The caller must
+// ensure capacity.
 func (n node) replacePairs(i, drop int, es []Entry) {
-	old := n.entries()
-	merged := make([]Entry, 0, len(old)-drop+len(es))
-	merged = append(merged, old[:i]...)
-	merged = append(merged, es...)
-	merged = append(merged, old[i+drop:]...)
-	n.setEntries(merged)
+	np := n.npairs()
+	newN := np - drop + len(es)
+	if newN > n.cap {
+		panic(fmt.Sprintf("postree: %d entries exceed node capacity %d", newN, n.cap))
+	}
+	base := n.count(i - 1)
+	delta := sumEntries(es) - (n.count(i+drop-1) - base)
+	copy(n.data[n.pairOff(i+len(es)):], n.data[n.pairOff(i+drop):n.pairOff(np)])
+	for k, e := range es {
+		base += e.Bytes
+		n.setCount(i+k, base)
+		n.setPtr(i+k, e.Ptr)
+	}
+	n.setNPairs(newN)
+	n.addToCounts(i+len(es), delta)
 }
 
 // addToCounts adds delta to the cumulative counts of pairs i..npairs-1,

@@ -1,6 +1,7 @@
 package postree
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -110,7 +111,8 @@ func TestFindChildQuick(t *testing.T) {
 	}
 }
 
-// Property: replacePairs preserves surrounding entries.
+// Property: replacePairs preserves surrounding entries, and the page it
+// leaves is byte for byte the one rewriting every pair would leave.
 func TestReplacePairsQuick(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -121,12 +123,15 @@ func TestReplacePairsQuick(t *testing.T) {
 		}
 		n.setEntries(orig)
 		i := rng.Intn(len(orig))
+		drop := rng.Intn(min(3, len(orig)-i) + 1)
 		repl := make([]Entry, rng.Intn(4))
 		for k := range repl {
 			repl[k] = Entry{Bytes: int64(1 + rng.Intn(1000)), Ptr: uint32(1000 + k)}
 		}
-		n.replacePairs(i, 1, repl)
-		want := append(append(append([]Entry{}, orig[:i]...), repl...), orig[i+1:]...)
+		want := append(append(append([]Entry{}, orig[:i]...), repl...), orig[i+drop:]...)
+		ref := node{data: append([]byte(nil), n.data...), cap: n.cap}
+		ref.setEntries(want)
+		n.replacePairs(i, drop, repl)
 		got := n.entries()
 		if len(got) != len(want) {
 			return false
@@ -136,7 +141,7 @@ func TestReplacePairsQuick(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return bytes.Equal(n.data, ref.data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

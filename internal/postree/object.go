@@ -16,9 +16,6 @@ import (
 type Object struct {
 	tree   *Tree
 	leaves Leaves
-	// pathBuf is readOp's descent-path scratch. Operations on one object
-	// are serialized by the engine, so reuse is safe.
-	pathBuf Path
 }
 
 // Leaves is a manager's leaf policy: what the shared shell cannot know
@@ -74,11 +71,10 @@ func (o *Object) readOp(off int64, dst []byte) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	e, start, path, err := o.tree.FindInto(off, o.pathBuf)
+	e, start, path, err := o.tree.Find(off)
 	if err != nil {
 		return err
 	}
-	o.pathBuf = path[:0] // keep the backing array for the next read
 	pos := off
 	for len(dst) > 0 {
 		offIn := pos - start

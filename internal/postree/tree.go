@@ -24,9 +24,6 @@ type Step struct {
 // Path is a root-to-level-0 descent. path[0] is always the root.
 type Path []Step
 
-// Clone returns an independent copy of the path.
-func (p Path) Clone() Path { return append(Path(nil), p...) }
-
 // Tree is a positional tree over data segments. One Tree indexes one large
 // object; its root page never moves.
 type Tree struct {
@@ -43,6 +40,14 @@ type Tree struct {
 
 	dirty     map[disk.Addr]*dirtyRec
 	rootDirty bool
+
+	// steps backs every path Find, NextLeaf and PrevLeaf return. Find
+	// recycles it, so such a path stays valid until the next Find (or
+	// Rightmost) on this tree: each update descends afresh, and
+	// operations on one object are serialized by the engine.
+	steps []Step
+	// flushItems is FlushOp's work list, kept for its capacity.
+	flushItems []flushItem
 }
 
 type dirtyRec struct {
@@ -195,24 +200,16 @@ func (t *Tree) fix(a disk.Addr) (*buffer.Handle, node, error) {
 }
 
 // Find locates the data segment containing byte offset off. It returns the
-// entry, the object offset of the entry's first byte, and the descent path.
+// entry, the object offset of the entry's first byte, and the descent path,
+// which is valid until the next Find.
 func (t *Tree) Find(off int64) (Entry, int64, Path, error) {
-	return t.FindInto(off, nil)
-}
-
-// FindInto is Find with a caller-provided path buffer: the returned path
-// appends into path[:0], so a caller keeping a per-object scratch buffer
-// descends without allocating. The buffer must not be shared between
-// concurrently running operations (operations on one object are
-// serialized by the engine, so a per-object buffer qualifies).
-func (t *Tree) FindInto(off int64, path Path) (Entry, int64, Path, error) {
 	if t.size == 0 {
 		return Entry{}, 0, nil, ErrEmpty
 	}
 	if off < 0 || off >= t.size {
 		return Entry{}, 0, nil, fmt.Errorf("postree: offset %d outside object of %d bytes", off, t.size)
 	}
-	path = path[:0]
+	path := Path(t.steps[:0])
 	addr := t.root
 	pos := off
 	skipped := int64(0)
@@ -238,7 +235,8 @@ func (t *Tree) FindInto(off int64, path Path) (Entry, int64, Path, error) {
 					Aux1: int64(len(path)),
 				})
 			}
-			return e, skipped, path, nil
+			t.steps = path
+			return e, skipped, path[:len(path):len(path)], nil
 		}
 		addr = disk.Addr{Area: t.root.Area, Page: disk.PageID(e.Ptr)}
 	}
@@ -268,15 +266,24 @@ func (t *Tree) EntryAt(path Path) (Entry, error) {
 }
 
 // NextLeaf steps a path to the following data segment entry. ok is false at
-// the end of the object. The input path is not modified.
+// the end of the object. The input path is not modified; the returned one
+// is valid until the next Find.
 func (t *Tree) NextLeaf(path Path) (Entry, Path, bool, error) {
-	return t.stepLeaf(path.Clone(), +1)
+	return t.stepLeaf(t.keep(path), +1)
 }
 
 // PrevLeaf steps a path to the preceding data segment entry. ok is false at
-// the start of the object. The input path is not modified.
+// the start of the object. The input path is not modified; the returned
+// one is valid until the next Find.
 func (t *Tree) PrevLeaf(path Path) (Entry, Path, bool, error) {
-	return t.stepLeaf(path.Clone(), -1)
+	return t.stepLeaf(t.keep(path), -1)
+}
+
+// keep copies p into the tree's path buffer.
+func (t *Tree) keep(p Path) Path {
+	n := len(t.steps)
+	t.steps = append(t.steps, p...)
+	return t.steps[n:len(t.steps):len(t.steps)]
 }
 
 // NextLeafInPlace is NextLeaf without the defensive copy: the returned
@@ -289,7 +296,7 @@ func (t *Tree) NextLeafInPlace(path Path) (Entry, Path, bool, error) {
 }
 
 // stepLeaf advances np in place; callers that need the input preserved
-// pass a clone.
+// pass a copy.
 func (t *Tree) stepLeaf(np Path, dir int) (Entry, Path, bool, error) {
 	// Climb until a sideways step is possible.
 	d := len(np) - 1

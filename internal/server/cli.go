@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -82,6 +83,10 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	done := make(chan error, 1)
+	// Allocation pressure is read only here and at shutdown, never on the
+	// request path.
+	var memStart, memEnd runtime.MemStats
+	runtime.ReadMemStats(&memStart)
 	go func() { done <- srv.Serve(ln) }()
 
 	code := 0
@@ -102,6 +107,7 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 			code = 1
 		}
 	}
+	runtime.ReadMemStats(&memEnd)
 	// Trim growth-pattern slack before the DB closes, so the saved image
 	// is exact and an offline fsck of the directory comes back clean.
 	if err := srv.CloseHandles(); err != nil {
@@ -114,15 +120,17 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "%s: close: %v\n", prog, err)
 		code = 1
 	}
-	printSummary(stderr, prog, srv)
+	printSummary(stderr, prog, srv, &memStart, &memEnd)
 	fmt.Fprintf(stderr, "%s: buffer pool %d hits %d misses; victim search visited %d frames, %d full scans\n",
 		prog, hits, misses, steps, fallbacks)
 	return code
 }
 
-// printSummary reports served-request counts and wall-clock service-time
-// percentiles on shutdown.
-func printSummary(w io.Writer, prog string, srv *Server) {
+// printSummary reports served-request counts, wall-clock service-time
+// percentiles and the allocation pressure between two MemStats reads (GC
+// cycles, total GC pause, heap bytes allocated per served request) on
+// shutdown.
+func printSummary(w io.Writer, prog string, srv *Server, start, end *runtime.MemStats) {
 	total := int64(0)
 	for op := byte(0); op < 8; op++ {
 		total += srv.OpCount(op)
@@ -137,4 +145,7 @@ func printSummary(w io.Writer, prog string, srv *Server) {
 		fmt.Fprintf(w, "%s: service time p50 %dµs p95 %dµs p99 %dµs max %dµs\n",
 			prog, s.P50Us, s.P95Us, s.P99Us, s.MaxUs)
 	}
+	fmt.Fprintf(w, "%s: GC %d cycles, %v total pause, %d heap bytes allocated per request\n",
+		prog, end.NumGC-start.NumGC, time.Duration(end.PauseTotalNs-start.PauseTotalNs),
+		(end.TotalAlloc-start.TotalAlloc)/uint64(max(total, 1)))
 }

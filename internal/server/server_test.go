@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -455,5 +457,25 @@ func TestCloseHandlesTrimsSlack(t *testing.T) {
 	if !rep.Clean() {
 		t.Fatalf("fsck after graceful shutdown: %d leaked range(s), %d conflict(s)",
 			len(rep.Leaked), len(rep.DoublyOwned))
+	}
+}
+
+// TestSummaryReportsAllocationPressure checks the shutdown summary's
+// allocation line: GC cycles, total GC pause and heap bytes per served
+// request, all as deltas between the two MemStats reads.
+func TestSummaryReportsAllocationPressure(t *testing.T) {
+	db := testDB(t)
+	defer db.Close()
+	s, addr := startServer(t, db, Options{})
+	c := dialClient(t, addr)
+	c.mustOK(wire.OpPing, nil)
+	c.mustOK(wire.OpPing, nil)
+	start := runtime.MemStats{NumGC: 3, PauseTotalNs: 1_000_000, TotalAlloc: 1000}
+	end := runtime.MemStats{NumGC: 10, PauseTotalNs: 3_500_000, TotalAlloc: 5000}
+	var out bytes.Buffer
+	printSummary(&out, "lobserve", s, &start, &end)
+	want := "lobserve: GC 7 cycles, 2.5ms total pause, 2000 heap bytes allocated per request\n"
+	if !strings.HasSuffix(out.String(), want) {
+		t.Fatalf("summary:\n%s\nwant last line %q", out.String(), want)
 	}
 }

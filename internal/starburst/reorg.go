@@ -11,7 +11,6 @@ import (
 // ranges of existing segments — reading segment parts with ReadRange in
 // staging-buffer-sized chunks.
 type source struct {
-	st    *store.Store
 	parts []srcPart
 	cur   int
 }
@@ -23,7 +22,7 @@ type srcPart struct {
 	n   int64
 }
 
-func (s *source) fill(buf []byte) error {
+func (s *source) fill(st *store.Store, buf []byte) error {
 	pos := 0
 	for pos < len(buf) {
 		if s.cur >= len(s.parts) {
@@ -45,7 +44,7 @@ func (s *source) fill(buf []byte) error {
 			if take > int64(len(buf)-pos) {
 				take = int64(len(buf) - pos)
 			}
-			if err := s.st.ReadRange(p.seg, p.off, buf[pos:pos+int(take)]); err != nil {
+			if err := st.ReadRange(p.seg, p.off, buf[pos:pos+int(take)]); err != nil {
 				return err
 			}
 			p.off += take
@@ -60,14 +59,13 @@ func (s *source) fill(buf []byte) error {
 }
 
 // buildSegments materializes total bytes from src into a new set of
-// segments. Because the total is known, maximal segments are used, with the
-// final one allocated exactly as large as needed (§2.2). All data moves
-// through the fixed-size staging buffer (§3.5).
-func (o *Object) buildSegments(total int64, src *source) ([]segment, error) {
+// segments, appended to out. Because the total is known, maximal segments
+// are used, with the final one allocated exactly as large as needed
+// (§2.2). All data moves through the fixed-size staging buffer (§3.5).
+func (o *Object) buildSegments(out []segment, total int64, src *source) ([]segment, error) {
 	ps := int64(o.st.PageSize())
 	maxBytes := int64(o.cfg.MaxSegmentPages) * ps
-	buf := make([]byte, o.cfg.CopyBufferBytes)
-	var out []segment
+	buf := o.st.Stage(o.cfg.CopyBufferBytes)
 	remaining := total
 	for remaining > 0 {
 		segBytes := remaining
@@ -85,7 +83,7 @@ func (o *Object) buildSegments(total int64, src *source) ([]segment, error) {
 			if chunk > segBytes-written {
 				chunk = segBytes - written
 			}
-			if err := src.fill(buf[:chunk]); err != nil {
+			if err := src.fill(o.st, buf[:chunk]); err != nil {
 				return nil, err
 			}
 			if err := o.writeChunk(seg, written, buf[:chunk]); err != nil {
@@ -127,16 +125,17 @@ func (o *Object) insertOp(off int64, data []byte) error {
 	i, start := o.locate(off)
 	offIn := off - start
 	s := o.segs[i]
-	src := &source{st: o.st, parts: []srcPart{
-		{seg: s.seg, off: 0, n: offIn},
-		{mem: data},
-		{seg: s.seg, off: offIn, n: s.bytes - offIn},
-	}}
+	var pbuf [8]srcPart // the parts stay on the stack unless there are more
+	parts := append(pbuf[:0],
+		srcPart{seg: s.seg, off: 0, n: offIn},
+		srcPart{mem: data},
+		srcPart{seg: s.seg, off: offIn, n: s.bytes - offIn},
+	)
 	for _, rest := range o.segs[i+1:] {
-		src.parts = append(src.parts, srcPart{seg: rest.seg, off: 0, n: rest.bytes})
+		parts = append(parts, srcPart{seg: rest.seg, off: 0, n: rest.bytes})
 	}
 	tail := (o.size - start) + int64(len(data))
-	return o.reorganize(i, tail, src, int64(len(data)))
+	return o.reorganize(i, tail, &source{parts: parts}, int64(len(data)))
 }
 
 // Delete removes the n bytes at [off, off+n); the reorganisation mirrors
@@ -150,42 +149,43 @@ func (o *Object) deleteOp(off, n int64) error {
 	}
 	i, start := o.locate(off)
 	offIn := off - start
-	src := &source{st: o.st, parts: []srcPart{
-		{seg: o.segs[i].seg, off: 0, n: offIn},
-	}}
+	var pbuf [8]srcPart // the parts stay on the stack unless there are more
+	parts := append(pbuf[:0], srcPart{seg: o.segs[i].seg, off: 0, n: offIn})
 	if end := off + n; end < o.size {
 		j, startJ := o.locate(end)
-		src.parts = append(src.parts, srcPart{
+		parts = append(parts, srcPart{
 			seg: o.segs[j].seg, off: end - startJ, n: o.segs[j].bytes - (end - startJ),
 		})
 		for _, rest := range o.segs[j+1:] {
-			src.parts = append(src.parts, srcPart{seg: rest.seg, off: 0, n: rest.bytes})
+			parts = append(parts, srcPart{seg: rest.seg, off: 0, n: rest.bytes})
 		}
 	}
 	tail := (o.size - start) - n
-	return o.reorganize(i, tail, src, -n)
+	return o.reorganize(i, tail, &source{parts: parts}, -n)
 }
 
 // reorganize replaces segments i.. with a fresh set holding tail bytes
 // streamed from src, then frees the old segments and rewrites the
 // descriptor.
 func (o *Object) reorganize(i int, tail int64, src *source, delta int64) error {
-	var fresh []segment
+	// The fresh segments are built after the current ones, in the same
+	// slice, then moved down over those they replace.
+	n := len(o.segs)
 	if tail > 0 {
-		var err error
-		fresh, err = o.buildSegments(tail, src)
+		segs, err := o.buildSegments(o.segs, tail, src)
 		if err != nil {
 			return err
 		}
+		o.segs = segs
 	}
 	// The old segments stay intact until the new copies exist (shadowing);
 	// only then are they freed.
-	for _, s := range o.segs[i:] {
+	for _, s := range o.segs[i:n] {
 		if err := o.st.FreeSegment(s.seg); err != nil {
 			return err
 		}
 	}
-	o.segs = append(o.segs[:i:i], fresh...)
+	o.segs = append(o.segs[:i], o.segs[n:]...)
 	o.size += delta
 	// The reorganised field has a known size; future growth resumes with
 	// maximal segments.
@@ -205,6 +205,7 @@ func (o *Object) replaceOp(off int64, data []byte) error {
 	}
 	end := off + int64(len(data))
 	i, start := o.locate(off)
+	buf := o.st.Stage(o.cfg.CopyBufferBytes)
 	for k := i; k < len(o.segs) && start < end; k++ {
 		s := o.segs[k]
 		segEnd := start + s.bytes
@@ -215,12 +216,12 @@ func (o *Object) replaceOp(off int64, data []byte) error {
 		if hi > segEnd {
 			hi = segEnd
 		}
-		src := &source{st: o.st, parts: []srcPart{
+		src := &source{parts: []srcPart{
 			{seg: s.seg, off: 0, n: lo - start},
 			{mem: data[lo-off : hi-off]},
 			{seg: s.seg, off: hi - start, n: segEnd - hi},
 		}}
-		fresh, err := o.copySameSize(s, src)
+		fresh, err := o.copySameSize(s, src, buf)
 		if err != nil {
 			return err
 		}
@@ -233,21 +234,20 @@ func (o *Object) replaceOp(off int64, data []byte) error {
 	return o.writeDescriptor()
 }
 
-// copySameSize shadows one segment: same allocated page count, same byte
-// count, new location.
-func (o *Object) copySameSize(old segment, src *source) (segment, error) {
+// copySameSize shadows one segment through the staging buffer buf: same
+// allocated page count, same byte count, new location.
+func (o *Object) copySameSize(old segment, src *source, buf []byte) (segment, error) {
 	seg, err := o.st.AllocSegment(int(old.seg.Pages))
 	if err != nil {
 		return segment{}, err
 	}
-	buf := make([]byte, o.cfg.CopyBufferBytes)
 	var written int64
 	for written < old.bytes {
 		chunk := int64(len(buf))
 		if chunk > old.bytes-written {
 			chunk = old.bytes - written
 		}
-		if err := src.fill(buf[:chunk]); err != nil {
+		if err := src.fill(o.st, buf[:chunk]); err != nil {
 			return segment{}, err
 		}
 		if err := o.writeChunk(seg, written, buf[:chunk]); err != nil {

@@ -273,3 +273,12 @@ func TestUpdateCostGrowsWithTail(t *testing.T) {
 		t.Fatalf("front insert moved %d pages, tail insert %d — expected tail-dominated cost", early, late)
 	}
 }
+
+// TestMutationAllocBudget pins what a warmed insert or delete allocates:
+// the §3.5 staging buffer comes from the store's per-operation arena, not
+// a fresh 512 KB heap buffer per reorganisation.
+func TestMutationAllocBudget(t *testing.T) {
+	lobtest.CheckMutationAllocBudget(t, func(st *store.Store) (core.Object, error) {
+		return New(st, Config{})
+	}, 200, 300)
+}

@@ -104,12 +104,13 @@ type Store struct {
 // OpState is the state private to one logical operation: the shadow-epoch
 // nesting depth, the frees deferred until the epoch's commit point (§3.3:
 // "leaving the old one intact until it is no longer needed for recovery"),
-// and the scratch buffer. A zero OpState is ready to use.
+// the scratch buffer and the staging arena. A zero OpState is ready to use.
 type OpState struct {
 	depth       int
 	pendingLeaf []Segment
 	pendingMeta []disk.Addr
 	scratch     []byte
+	stage       arena
 }
 
 // Reset returns the state to its zero condition while keeping the
@@ -121,7 +122,56 @@ func (o *OpState) Reset() {
 	o.depth = 0
 	o.pendingLeaf = o.pendingLeaf[:0]
 	o.pendingMeta = o.pendingMeta[:0]
-	// scratch is kept: it is the whole point of pooling.
+	o.stage.reset()
+	// scratch and the arena's chunks are kept: they are the whole point
+	// of pooling.
+}
+
+// arena is the bump allocator behind Store.Stage. Chunks are carved in
+// order and reused from the start after a reset; a chunk larger than
+// arenaKeep is dropped at reset, so one large operation does not pin its
+// buffers for the life of the state.
+type arena struct {
+	chunks [][]byte
+	next   int // chunk being carved
+	used   int // bytes carved from chunks[next]
+}
+
+const (
+	arenaChunk = 64 << 10 // smallest chunk
+	arenaKeep  = 1 << 20  // largest chunk kept across resets
+)
+
+func (a *arena) alloc(n int) []byte {
+	for ; a.next < len(a.chunks); a.next, a.used = a.next+1, 0 {
+		if c := a.chunks[a.next]; len(c)-a.used >= n {
+			b := c[a.used : a.used+n : a.used+n]
+			a.used += n
+			return b
+		}
+	}
+	// Grow geometrically so an operation's working set is covered by a
+	// few chunks after the first use.
+	size := arenaChunk
+	if k := len(a.chunks); k > 0 {
+		size = 2 * len(a.chunks[k-1])
+	}
+	size = max(size, n)
+	a.chunks = append(a.chunks, make([]byte, size))
+	a.next, a.used = len(a.chunks)-1, n
+	return a.chunks[a.next][:n:n]
+}
+
+func (a *arena) reset() {
+	kept := a.chunks[:0]
+	for _, c := range a.chunks {
+		if len(c) <= arenaKeep {
+			kept = append(kept, c)
+		}
+	}
+	clear(a.chunks[len(kept):])
+	a.chunks = kept
+	a.next, a.used = 0, 0
 }
 
 // op returns the current operation state, lazily bound to the permanent
@@ -149,8 +199,9 @@ func (s *Store) SwapOp(st *OpState) *OpState {
 
 // SetRetireHook routes the deferred frees of every outermost EndOp to fn
 // instead of applying them immediately. fn runs after the EndOp durability
-// barrier — the §3.3 ordering is unchanged — and takes ownership of both
-// slices. A nil fn restores immediate application.
+// barrier — the §3.3 ordering is unchanged — and must not keep either
+// slice: the operation state reuses them. A nil fn restores immediate
+// application.
 func (s *Store) SetRetireHook(fn func(leaf []Segment, meta []disk.Addr) error) {
 	s.retire = fn
 }
@@ -253,6 +304,20 @@ func (s *Store) Scratch(n int) []byte {
 	return o.scratch[:n]
 }
 
+// Stage returns n bytes of unspecified content from the current
+// operation's arena, for the buffers of a read-modify-write. Inside a
+// shadow epoch a staged slice stays valid until the outermost EndOp (or
+// OpState.Reset), so an operation may hold several at once; outside one,
+// each Stage call recycles the arena and invalidates the previous slice.
+// Unlike Scratch, no store method overwrites a staged slice.
+func (s *Store) Stage(n int) []byte {
+	o := s.op()
+	if o.depth == 0 {
+		o.stage.reset()
+	}
+	return o.stage.alloc(n)
+}
+
 // AllocSegment obtains a leaf segment of npages adjacent pages.
 func (s *Store) AllocSegment(npages int) (Segment, error) {
 	addr, err := s.Leaf.Alloc(npages)
@@ -282,11 +347,12 @@ func (s *Store) EndOp() error {
 	if o.depth > 0 {
 		return nil
 	}
+	o.stage.reset()
 	if err := s.Disk.Barrier(); err != nil {
 		return err
 	}
 	leaf, meta := o.pendingLeaf, o.pendingMeta
-	o.pendingLeaf, o.pendingMeta = nil, nil
+	o.pendingLeaf, o.pendingMeta = leaf[:0], meta[:0]
 	if s.retire != nil && (len(leaf) > 0 || len(meta) > 0) {
 		return s.retire(leaf, meta)
 	}
