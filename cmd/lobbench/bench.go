@@ -256,8 +256,8 @@ func benchPoolMiss(b *testing.B, frames int) {
 }
 
 // benchLockUncontended measures the lock manager's fast path: one
-// goroutine cycling a shared then exclusive lock on one object with
-// nobody waiting — the fixed per-request overhead of the serving path.
+// goroutine cycling one object's lock with nobody waiting — the fixed
+// per-request overhead of the serving path.
 func benchLockUncontended(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()

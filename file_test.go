@@ -1,6 +1,7 @@
 package lobstore_test
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -137,41 +138,71 @@ func TestFileBarriersAlwaysCounted(t *testing.T) {
 	}
 }
 
+// named is what a store holds under one name: no object, or an object
+// holding data.
+type named struct {
+	exists bool
+	data   []byte
+}
+
+func (n named) equal(o named) bool { return n.exists == o.exists && bytes.Equal(n.data, o.data) }
+
 // TestFileCrashMatrix is the durable counterpart of TestCrashSweep: for
-// every engine and every update operation, inject a power cut at each
-// successive sync barrier of the operation — dropping all writes since the
-// previous barrier, as a kernel that never flushed would — then reopen the
-// directory and require the object to hold exactly the pre-operation or
-// the post-operation bytes. A recovered-and-closed store must also pass
-// fsck with zero leaked and zero doubly-owned pages.
+// every engine and every update operation — the three edits of an object,
+// and creating and dropping one — inject a power cut at each successive
+// sync barrier of the operation, dropping all writes since the previous
+// barrier as a kernel that never flushed would. Then reopen the directory
+// and require the name the operation targets to hold exactly its
+// pre-operation or its post-operation state, and the post-operation state
+// whenever the call had returned. A recovered-and-closed store must also
+// pass fsck with zero leaked and zero doubly-owned pages.
 func TestFileCrashMatrix(t *testing.T) {
-	type opFn func(obj lobstore.Object, mirror []byte) ([]byte, error)
-	appendOp := func(obj lobstore.Object, mirror []byte) ([]byte, error) {
+	// An op runs against the committed object "x" and returns what its
+	// target name holds once it has returned.
+	type opFn func(db *lobstore.DB, spec lobstore.ObjectSpec, obj lobstore.Object, mirror []byte) (named, error)
+	edit := func(f func(obj lobstore.Object, mirror []byte) ([]byte, error)) opFn {
+		return func(_ *lobstore.DB, _ lobstore.ObjectSpec, obj lobstore.Object, mirror []byte) (named, error) {
+			data, err := f(obj, mirror)
+			return named{exists: true, data: data}, err
+		}
+	}
+	appendOp := edit(func(obj lobstore.Object, mirror []byte) ([]byte, error) {
 		data := bytes.Repeat([]byte{0xAD}, 11_000)
 		if err := obj.Append(data); err != nil {
 			return nil, err
 		}
 		return append(append([]byte{}, mirror...), data...), nil
-	}
-	insertOp := func(obj lobstore.Object, mirror []byte) ([]byte, error) {
+	})
+	insertOp := edit(func(obj lobstore.Object, mirror []byte) ([]byte, error) {
 		data := bytes.Repeat([]byte{0xEE}, 9_000)
 		off := int64(len(mirror) / 3)
 		if err := obj.Insert(off, data); err != nil {
 			return nil, err
 		}
 		return append(mirror[:off:off], append(append([]byte{}, data...), mirror[off:]...)...), nil
-	}
-	deleteOp := func(obj lobstore.Object, mirror []byte) ([]byte, error) {
+	})
+	deleteOp := edit(func(obj lobstore.Object, mirror []byte) ([]byte, error) {
 		off, n := int64(len(mirror)/4), int64(7_000)
 		if err := obj.Delete(off, n); err != nil {
 			return nil, err
 		}
 		return append(mirror[:off:off], mirror[off+n:]...), nil
+	})
+	createOp := func(db *lobstore.DB, spec lobstore.ObjectSpec, _ lobstore.Object, _ []byte) (named, error) {
+		_, err := db.Create("y", spec)
+		return named{exists: true, data: []byte{}}, err
+	}
+	dropOp := func(db *lobstore.DB, _ lobstore.ObjectSpec, _ lobstore.Object, _ []byte) (named, error) {
+		return named{}, db.Drop("x")
 	}
 	ops := []struct {
-		name string
-		fn   opFn
-	}{{"append", appendOp}, {"insert", insertOp}, {"delete", deleteOp}}
+		name   string
+		target string
+		fn     opFn
+	}{
+		{"append", "x", appendOp}, {"insert", "x", insertOp}, {"delete", "x", deleteOp},
+		{"create", "y", createOp}, {"drop", "x", dropOp},
+	}
 
 	specs := []struct {
 		name string
@@ -195,6 +226,23 @@ func TestFileCrashMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		return obj, before
+	}
+
+	// recovered reads what a reopened store holds under name.
+	recovered := func(t *testing.T, db *lobstore.DB, name string) named {
+		t.Helper()
+		obj, err := db.OpenObject(name)
+		if errors.Is(err, lobstore.ErrNotExist) {
+			return named{}
+		}
+		if err != nil {
+			t.Fatalf("open %q after recovery: %v", name, err)
+		}
+		got := make([]byte, obj.Size())
+		if err := obj.Read(0, got); err != nil {
+			t.Fatalf("read %q after recovery: %v", name, err)
+		}
+		return named{exists: true, data: got}
 	}
 
 	// The whole matrix runs twice: once with groups of one, once with
@@ -222,11 +270,15 @@ func TestFileCrashMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					obj, before := setup(t, db, sc.spec)
+					pre := named{}
+					if op.target == "x" {
+						pre = named{exists: true, data: before}
+					}
 					b0, err := db.SyncBarriers()
 					if err != nil {
 						t.Fatal(err)
 					}
-					after, err := op.fn(obj, before)
+					post, err := op.fn(db, sc.spec, obj, before)
 					if err != nil {
 						t.Fatalf("dry run op: %v", err)
 					}
@@ -262,7 +314,7 @@ func TestFileCrashMatrix(t *testing.T) {
 						if err := db.InjectPowerCut(k); err != nil {
 							t.Fatal(err)
 						}
-						_, opErr := op.fn(obj, before)
+						_, opErr := op.fn(db, sc.spec, obj, before)
 						if opErr == nil {
 							// The operation survived all its own barriers; the
 							// checkpoint provides barrier B+1.
@@ -278,24 +330,16 @@ func TestFileCrashMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatalf("cut@%d: reopen failed: %v", k, err)
 						}
-						robj, err := rec.OpenObject("x")
-						if err != nil {
-							t.Fatalf("cut@%d: open after recovery: %v", k, err)
-						}
-						got := make([]byte, robj.Size())
-						if err := robj.Read(0, got); err != nil {
-							t.Fatalf("cut@%d: read: %v", k, err)
-						}
-						switch {
-						case bytes.Equal(got, before):
+						switch got := recovered(t, rec, op.target); {
+						case got.equal(pre):
 							if opErr == nil {
-								t.Fatalf("cut@%d: op reported success but pre-op bytes recovered", k)
+								t.Fatalf("cut@%d: op reported success but the pre-op state was recovered", k)
 							}
-						case bytes.Equal(got, after):
+						case got.equal(post):
 							postSeen = true
 						default:
-							t.Fatalf("cut@%d: recovered %d bytes matching neither pre-op (%d) nor post-op (%d) version (op err: %v)",
-								k, len(got), len(before), len(after), opErr)
+							t.Fatalf("cut@%d: recovered %q (exists %v, %d bytes) matching neither the pre-op (exists %v, %d bytes) nor the post-op (exists %v, %d bytes) state (op err: %v)",
+								k, op.target, got.exists, len(got.data), pre.exists, len(pre.data), post.exists, len(post.data), opErr)
 						}
 
 						if err := rec.Close(); err != nil {
@@ -347,9 +391,15 @@ func TestPowerCutErrorSurfacing(t *testing.T) {
 // real process death: a child process appends committed chunks to a
 // file-backed store and is SIGKILLed mid-run; the parent reopens the
 // directory, requires every chunk the child reported committed to be
-// intact, and fsck to come up clean.
+// intact, and fsck to come up clean. A second child creates objects and
+// exits without closing the store: every creation it was acknowledged
+// must reopen.
 func TestOpenWriteKillReopen(t *testing.T) {
-	if os.Getenv("LOBSTORE_KILL_CHILD") != "" {
+	if dir := os.Getenv("LOBSTORE_KILL_CHILD"); dir != "" {
+		if os.Getenv("LOBSTORE_KILL_CREATE") != "" {
+			createChildMain(t, dir)
+			return
+		}
 		killChildMain(t)
 		return
 	}
@@ -362,6 +412,7 @@ func TestOpenWriteKillReopen(t *testing.T) {
 	}{{"plain", ""}, {"pipeline", "1"}} {
 		t.Run(mode.name, func(t *testing.T) { runKillReopen(t, mode.pipeline) })
 	}
+	t.Run("create", runCreateExit)
 }
 
 func runKillReopen(t *testing.T, pipeline string) {
@@ -466,5 +517,103 @@ func killChildMain(t *testing.T) {
 		// The append's RunOp has returned: its post-commit barrier made it
 		// durable, so the parent may count on this chunk surviving.
 		fmt.Println("committed", strconv.Itoa(i))
+	}
+}
+
+// createdEngines names the creation child's objects: one per engine, each
+// named after its engine.
+var createdEngines = []string{"esm", "starburst", "eos"}
+
+// createChildMain is the creation child: it creates one object per engine
+// and a record file holding a fresh EOS long field, reports the record's
+// RID, and returns without closing the store, so whatever the buffer pool
+// still holds dirty dies with the process.
+func createChildMain(t *testing.T, dir string) {
+	db, err := lobstore.Open(fileConfig(dir))
+	if err != nil {
+		t.Fatalf("child open: %v", err)
+	}
+	for _, engine := range createdEngines {
+		if _, err := db.Create(engine, lobstore.ObjectSpec{Engine: engine, LeafPages: 2, Threshold: 4}); err != nil {
+			t.Fatalf("child create %s: %v", engine, err)
+		}
+	}
+	rf, err := db.CreateRecordFile("records")
+	if err != nil {
+		t.Fatalf("child record file: %v", err)
+	}
+	_, ref, err := rf.NewLongField(lobstore.ObjectSpec{Engine: "eos", Threshold: 4})
+	if err != nil {
+		t.Fatalf("child long field: %v", err)
+	}
+	rid, err := rf.Insert([]lobstore.Field{lobstore.ShortField([]byte("k")), {Long: &ref}})
+	if err != nil {
+		t.Fatalf("child insert: %v", err)
+	}
+	fmt.Printf("rid %d %d\n", rid.Page, rid.Slot)
+}
+
+// runCreateExit is the parent of the creation child: after the child
+// exits, every object it created must reopen at size 0, the long field
+// through the record that names it, and the store must fsck clean.
+func runCreateExit(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestOpenWriteKillReopen$")
+	cmd.Env = append(os.Environ(), "LOBSTORE_KILL_CHILD="+dir, "LOBSTORE_KILL_CREATE=1")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("creation child: %v; output: %s", err, out)
+	}
+	var rid lobstore.RID
+	found := false
+	for sc := bufio.NewScanner(bytes.NewReader(out)); !found && sc.Scan(); {
+		_, err := fmt.Sscanf(sc.Text(), "rid %d %d", &rid.Page, &rid.Slot)
+		found = err == nil
+	}
+	if !found {
+		t.Fatalf("creation child reported no RID; output: %s", out)
+	}
+
+	db, err := lobstore.Open(fileConfig(dir))
+	if err != nil {
+		t.Fatalf("reopen after the creation child: %v", err)
+	}
+	for _, name := range createdEngines {
+		obj, err := db.OpenObject(name)
+		if err != nil {
+			t.Fatalf("open %s: %v", name, err)
+		}
+		if size := obj.Size(); size != 0 {
+			t.Fatalf("%s: size %d, want 0", name, size)
+		}
+	}
+	rf, err := db.OpenRecordFile("records")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields, err := rf.Read(rid)
+	if err != nil {
+		t.Fatalf("read record %v: %v", rid, err)
+	}
+	if len(fields) != 2 || fields[1].Long == nil {
+		t.Fatalf("record %v: %d fields, want a short and a long one", rid, len(fields))
+	}
+	lf, err := rf.OpenLongField(*fields[1].Long)
+	if err != nil {
+		t.Fatalf("open long field: %v", err)
+	}
+	if size := lf.Size(); size != 0 {
+		t.Fatalf("long field: size %d, want 0", size)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := lobstore.Fsck(dir)
+	if err != nil {
+		t.Fatalf("fsck: %v", err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("fsck after the creation child: %v %v", rep.Leaked, rep.DoublyOwned)
 	}
 }

@@ -178,12 +178,7 @@ func (c *Catalog) Put(e Entry) error {
 			if !slotUsed(s) {
 				encodeSlot(s, e)
 				h.Unfix(true)
-				// The entry write commits the object's creation: the object's
-				// own pages must be durable before its name appears.
-				if err := c.st.SyncBarrier(); err != nil {
-					return err
-				}
-				return c.st.Pool.FlushPage(addr)
+				return c.commitPage(addr)
 			}
 		}
 		next := disk.PageID(binary.LittleEndian.Uint32(h.Data[8:]))
@@ -211,16 +206,26 @@ func (c *Catalog) Put(e Entry) error {
 			h.Unfix(false)
 			return err
 		}
-		// The new chain page (and the object it names) must be durable
-		// before the predecessor's pointer makes it reachable.
-		if err := c.st.SyncBarrier(); err != nil {
-			h.Unfix(false)
-			return err
-		}
+		// commitPage's first barrier makes the new chain page (and the
+		// object it names) durable before the pointer makes it reachable.
 		binary.LittleEndian.PutUint32(h.Data[8:], uint32(newAddr.Page))
 		h.Unfix(true)
-		return c.st.Pool.FlushPage(addr)
+		return c.commitPage(addr)
 	}
+}
+
+// commitPage writes the catalog page at addr, which commits a Put or a
+// Delete, between two barriers: the first orders it after everything the
+// operation wrote so far (the object's own pages must be durable before
+// its name appears), the second makes it durable before the call returns.
+func (c *Catalog) commitPage(addr disk.Addr) error {
+	if err := c.st.SyncBarrier(); err != nil {
+		return err
+	}
+	if err := c.st.Pool.FlushPage(addr); err != nil {
+		return err
+	}
+	return c.st.SyncBarrier()
 }
 
 // walk visits every used slot; fn returns true to keep going. The visited
@@ -293,12 +298,7 @@ func (c *Catalog) Delete(name string) error {
 	}
 	clear(slot(h.Data, slotIdx))
 	h.Unfix(true)
-	// Clearing the slot commits the drop; order it after everything the
-	// operation wrote so far.
-	if err := c.st.SyncBarrier(); err != nil {
-		return err
-	}
-	return c.st.Pool.FlushPage(*where)
+	return c.commitPage(*where)
 }
 
 // List returns every entry in catalog order.

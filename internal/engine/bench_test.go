@@ -8,11 +8,10 @@ import (
 )
 
 // BenchmarkLockUncontended measures the lock manager's fast path: one
-// goroutine acquiring and releasing a shared then exclusive lock on one
-// object with nobody waiting. This is the fixed per-request overhead
-// every serving operation pays before it touches the store, so it must
-// stay lock-free-cheap: a mutex pair and a couple of integer updates,
-// zero allocations.
+// goroutine acquiring and releasing one object's lock with nobody
+// waiting. This is the fixed per-request overhead every serving operation
+// pays before it touches the store, so it must stay lock-free-cheap: a
+// mutex pair and a flag update, zero allocations.
 func BenchmarkLockUncontended(b *testing.B) {
 	b.ReportAllocs()
 	LockCycle(b.N)

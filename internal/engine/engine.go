@@ -16,6 +16,11 @@
 // group-commit batches. Each operation carries a private store.OpState so
 // operations parked at a barrier cannot corrupt each other's in-flight
 // free lists.
+//
+// At every instant storemu is held, the volume holds the last committed
+// image of every named object's root: the facade writes a root when it
+// creates the object, and §3.3 writes it only at each commit point after.
+// Snapshots rely on that; see OpenSnapshot.
 package engine
 
 import (
@@ -57,19 +62,6 @@ type Engine struct {
 	closed   bool
 	snapOpen int
 
-	// writing counts in-flight write operations per object root (at most
-	// one per root, enforced by the object lock). OpenSnapshot uses it to
-	// pick the authoritative source of the root page: while a writer is
-	// inside an operation, only a barrier park lets anyone else hold
-	// storemu, and §3.3 guarantees the volume then holds the last
-	// committed image; between operations the pool is authoritative — a
-	// freshly created root lives dirty in the pool until its first flush.
-	writing map[disk.Addr]int
-	// rootSynced records roots whose committed image has reached the
-	// volume at least once, so the first write operation on a root can
-	// close the creation window before it is allowed to park.
-	rootSynced map[disk.Addr]bool
-
 	locks   lockTable
 	epochs  epochs
 	stripes []stripe
@@ -84,11 +76,9 @@ type Engine struct {
 // the hooks.
 func New(st *store.Store, params store.Params) *Engine {
 	e := &Engine{
-		st:         st,
-		params:     params,
-		stripes:    make([]stripe, snapshotStripes),
-		writing:    make(map[disk.Addr]int),
-		rootSynced: make(map[disk.Addr]bool),
+		st:      st,
+		params:  params,
+		stripes: make([]stripe, snapshotStripes),
 	}
 	e.quiet = sync.NewCond(&e.storemu)
 	st.SetRetireHook(e.onRetire)
@@ -181,26 +171,14 @@ func (e *Engine) reclaimLocked() error {
 var opPool = sync.Pool{New: func() any { return new(store.OpState) }}
 
 // Run executes f against the core under storemu with a private OpState.
-// It is the entry point for operations that need no object lock (object
-// creation, catalog access, checkpoints).
+// Do runs object operations through it; called directly, it is the entry
+// point for operations that need no object lock (object creation, catalog
+// access, checkpoints).
 func (e *Engine) Run(f func() error) error {
-	return e.run(disk.Addr{}, false, f)
-}
-
-// run is Run with the operation optionally tagged as the writer on root;
-// see the writing field for why OpenSnapshot needs the tag.
-func (e *Engine) run(root disk.Addr, write bool, f func() error) error {
 	e.storemu.Lock()
 	if e.closed {
 		e.storemu.Unlock()
 		return fmt.Errorf("engine: run: %w", ErrClosed)
-	}
-	if write {
-		if err := e.syncRootLocked(root); err != nil {
-			e.storemu.Unlock()
-			return err
-		}
-		e.writing[root]++
 	}
 	e.inflight++
 	op := opPool.Get().(*store.OpState)
@@ -210,36 +188,11 @@ func (e *Engine) run(root disk.Addr, write bool, f func() error) error {
 	op.Reset()
 	opPool.Put(op)
 	e.inflight--
-	if write {
-		if e.writing[root]--; e.writing[root] == 0 {
-			delete(e.writing, root)
-		}
-	}
 	if e.inflight == 0 {
 		e.quiet.Broadcast()
 	}
 	e.storemu.Unlock()
 	return err
-}
-
-// syncRootLocked writes root's committed pool image through to the volume
-// before the object's first write operation. A freshly created object's
-// root page lives dirty in the pool until its first end-of-operation
-// flush, but once a write operation parks at a durability barrier, a
-// concurrent OpenSnapshot reads the root from the volume — so the
-// creation image must be on the volume before the first park. Callers
-// hold storemu.
-func (e *Engine) syncRootLocked(root disk.Addr) error {
-	if e.rootSynced[root] {
-		return nil
-	}
-	if e.st.Pool.Contains(root) {
-		if err := e.st.Pool.FlushPage(root); err != nil {
-			return fmt.Errorf("engine: sync root of object %v: %w", root, err)
-		}
-	}
-	e.rootSynced[root] = true
-	return nil
 }
 
 // View executes f under storemu without an OpState swap, for reads of
@@ -251,33 +204,32 @@ func (e *Engine) View(f func()) {
 }
 
 // Do executes f as an operation on the object rooted at root, holding its
-// lock in the requested mode. Lock acquisition is fair FIFO.
-func (e *Engine) Do(root disk.Addr, write bool, f func() error) error {
+// lock. Lock hand-off is fair FIFO.
+func (e *Engine) Do(root disk.Addr, f func() error) error {
 	l := e.locks.get(root)
 	start := obs.WallNow()
-	l.acquire(write)
+	l.acquire()
 	if m := e.metrics.Load(); m != nil {
 		m.ObserveLockWait(obs.WallNow() - start)
 	}
 	e.addMetric("engine.lock.acquires", 1)
-	err := e.run(root, write, f)
-	l.release(write)
+	err := e.Run(f)
+	l.release()
 	return err
 }
 
 // OpenSnapshot freezes the current committed image of the object rooted
-// at root. The frozen root page is captured under storemu — at which
-// instant §3.3 guarantees a complete committed pre- or post-image exists
-// — and the epoch pin taken at the same instant holds back every free
+// at root. The frozen root page is read from the volume under storemu,
+// and the epoch pin taken at the same instant holds back every free
 // retired from then on.
 //
-// Which copy of the root page is that image depends on writer state. If a
-// write operation on this root is in flight, we can only be holding
-// storemu while it is parked at a durability barrier, and the shadow
-// protocol guarantees the volume still holds the last committed image
-// (the post-image root is flushed only at the commit point). Otherwise
-// the pool is authoritative: a newly created root sits dirty in the pool
-// until its first end-of-operation flush, so the volume may be stale.
+// The volume is the one source of that image, so the root must have been
+// written when the object was created (the facade's createManaged does
+// that). From then on §3.3 writes the root only at a commit point: at any
+// instant storemu is held — between operations, or while a writer is
+// parked at a durability barrier — the volume's root is the last
+// committed one, never the pool copy of an operation in flight or of one
+// that failed.
 func (e *Engine) OpenSnapshot(root disk.Addr, open Opener) (*Snapshot, error) {
 	if open == nil {
 		return nil, fmt.Errorf("engine: snapshot of object %v: nil opener", root)
@@ -288,7 +240,7 @@ func (e *Engine) OpenSnapshot(root disk.Addr, open Opener) (*Snapshot, error) {
 		e.storemu.Unlock()
 		return nil, fmt.Errorf("engine: snapshot of object %v: %w", root, ErrClosed)
 	}
-	if err := e.freezeRootLocked(root, frozen); err != nil {
+	if err := e.st.Disk.Peek(root, 1, frozen); err != nil {
 		e.storemu.Unlock()
 		return nil, fmt.Errorf("engine: freeze root of object %v: %w", root, err)
 	}
@@ -297,22 +249,6 @@ func (e *Engine) OpenSnapshot(root disk.Addr, open Opener) (*Snapshot, error) {
 	e.storemu.Unlock()
 	e.addMetric("engine.snapshot.opens", 1)
 	return &Snapshot{e: e, root: root, frozen: frozen, epoch: ep, open: open}, nil
-}
-
-// freezeRootLocked copies the last committed image of root's page into
-// dst; see OpenSnapshot for the source-selection argument. Callers hold
-// storemu.
-func (e *Engine) freezeRootLocked(root disk.Addr, dst []byte) error {
-	if e.writing[root] == 0 && e.st.Pool.Contains(root) {
-		h, err := e.st.Pool.FixPage(root)
-		if err != nil {
-			return err
-		}
-		copy(dst, h.Data)
-		h.Unfix(false)
-		return nil
-	}
-	return e.st.Disk.Peek(root, 1, dst)
 }
 
 func (e *Engine) stripeFor(root disk.Addr) *stripe {

@@ -67,25 +67,26 @@ func waitQueued(t *testing.T, l *objLock, want int) {
 	}
 }
 
-// A writer queued behind a reader is granted before readers that arrived
-// after it: the queue is FIFO, so neither side starves.
+// A writer queued behind a reader is handed the lock before a reader that
+// arrived after it: hand-off is FIFO, whatever the operation, so nothing
+// starves.
 func TestLockFIFOWriterBeforeLaterReader(t *testing.T) {
 	l := &objLock{}
-	l.acquire(false)
+	l.acquire()
 	order := make(chan string, 2)
 	go func() {
-		l.acquire(true)
+		l.acquire()
 		order <- "writer"
-		l.release(true)
+		l.release()
 	}()
 	waitQueued(t, l, 1)
 	go func() {
-		l.acquire(false)
+		l.acquire()
 		order <- "reader"
-		l.release(false)
+		l.release()
 	}()
 	waitQueued(t, l, 2)
-	l.release(false)
+	l.release()
 	if first := <-order; first != "writer" {
 		t.Fatalf("queued writer should be granted first, got %q", first)
 	}

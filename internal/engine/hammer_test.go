@@ -14,44 +14,43 @@ import (
 	"lobstore/internal/store"
 )
 
+// rooted is what every manager's New returns.
+type rooted interface {
+	core.Object
+	Root() disk.Addr
+}
+
 type managerCase struct {
 	name string
-	make func(st *store.Store) (core.Object, disk.Addr, error)
+	new  func(st *store.Store) (rooted, error)
 	open Opener
+}
+
+// make creates the case's object the way the facade's createManaged does:
+// its root is written through at creation, so the volume holds the
+// committed image OpenSnapshot freezes from the start.
+func (mc managerCase) make(st *store.Store) (core.Object, disk.Addr, error) {
+	o, err := mc.new(st)
+	if err != nil {
+		return nil, disk.Addr{}, err
+	}
+	return o, o.Root(), st.Pool.FlushPage(o.Root())
 }
 
 var managerCases = []managerCase{
 	{
 		name: "esm",
-		make: func(st *store.Store) (core.Object, disk.Addr, error) {
-			o, err := esm.New(st, esm.Config{LeafPages: 4})
-			if err != nil {
-				return nil, disk.Addr{}, err
-			}
-			return o, o.Root(), nil
-		},
+		new:  func(st *store.Store) (rooted, error) { return esm.New(st, esm.Config{LeafPages: 4}) },
 		open: func(st *store.Store, root disk.Addr) (core.Object, error) { return esm.Open(st, root) },
 	},
 	{
 		name: "starburst",
-		make: func(st *store.Store) (core.Object, disk.Addr, error) {
-			o, err := starburst.New(st, starburst.Config{})
-			if err != nil {
-				return nil, disk.Addr{}, err
-			}
-			return o, o.Root(), nil
-		},
+		new:  func(st *store.Store) (rooted, error) { return starburst.New(st, starburst.Config{}) },
 		open: func(st *store.Store, root disk.Addr) (core.Object, error) { return starburst.Open(st, root) },
 	},
 	{
 		name: "eos",
-		make: func(st *store.Store) (core.Object, disk.Addr, error) {
-			o, err := eos.New(st, eos.Config{Threshold: 4})
-			if err != nil {
-				return nil, disk.Addr{}, err
-			}
-			return o, o.Root(), nil
-		},
+		new:  func(st *store.Store) (rooted, error) { return eos.New(st, eos.Config{Threshold: 4}) },
 		open: func(st *store.Store, root disk.Addr) (core.Object, error) { return eos.Open(st, root) },
 	},
 }
@@ -110,7 +109,7 @@ func hammer(t *testing.T, mc managerCase) {
 		imgmu.Unlock()
 		return nil
 	}
-	if err := e.Do(root, true, record); err != nil {
+	if err := e.Do(root, record); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,7 +122,7 @@ func hammer(t *testing.T, mc managerCase) {
 			for i := 0; i < ops; i++ {
 				k := id*ops + i
 				fill := bytes.Repeat([]byte{byte('a' + k%26)}, 700+(k%5)*300)
-				err := e.Do(root, true, func() error {
+				err := e.Do(root, func() error {
 					size := obj.Size()
 					var err error
 					switch {
@@ -140,6 +139,9 @@ func hammer(t *testing.T, mc managerCase) {
 						return err
 					}
 					if err := leafAccounted(e, obj); err != nil {
+						return err
+					}
+					if err := rootCommitted(e, root); err != nil {
 						return err
 					}
 					return record()
@@ -220,7 +222,7 @@ func hammer(t *testing.T, mc managerCase) {
 	}
 
 	// The live object must still be fully intact.
-	if err := e.Do(root, false, func() error {
+	if err := e.Do(root, func() error {
 		size := obj.Size()
 		buf := make([]byte, size)
 		if size > 0 {
@@ -252,6 +254,30 @@ func leafAccounted(e *Engine, obj core.Object) error {
 	return nil
 }
 
+// rootCommitted checks the invariant OpenSnapshot's freeze rests on: once
+// a mutation has committed, a resident pool copy of the root is the image
+// the volume holds, so freezing from the volume alone loses nothing.
+// Callers hold storemu.
+func rootCommitted(e *Engine, root disk.Addr) error {
+	if !e.st.Pool.Contains(root) {
+		return nil
+	}
+	h, err := e.st.Pool.FixPage(root)
+	if err != nil {
+		return err
+	}
+	pooled := bytes.Clone(h.Data)
+	h.Unfix(false)
+	onVolume := make([]byte, e.st.PageSize())
+	if err := e.st.Disk.Peek(root, 1, onVolume); err != nil {
+		return err
+	}
+	if !bytes.Equal(pooled, onVolume) {
+		return fmt.Errorf("root %v: the pool copy differs from the volume's after a committed mutation", root)
+	}
+	return nil
+}
+
 type errTorn disk.Addr
 
 func (e errTorn) Error() string {
@@ -278,7 +304,7 @@ func TestSnapshotPreImageWhileWriterCommits(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := bytes.Repeat([]byte{'x'}, 9000)
-			if err := e.Do(root, true, func() error { return obj.Append(before) }); err != nil {
+			if err := e.Do(root, func() error { return obj.Append(before) }); err != nil {
 				t.Fatal(err)
 			}
 
@@ -286,7 +312,7 @@ func TestSnapshotPreImageWhileWriterCommits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Do(root, true, func() error {
+			if err := e.Do(root, func() error {
 				if err := obj.Insert(4000, bytes.Repeat([]byte{'y'}, 5000)); err != nil {
 					return err
 				}
@@ -311,7 +337,7 @@ func TestSnapshotPreImageWhileWriterCommits(t *testing.T) {
 			}
 
 			var liveSize int64
-			if err := e.Do(root, false, func() error { liveSize = obj.Size(); return nil }); err != nil {
+			if err := e.Do(root, func() error { liveSize = obj.Size(); return nil }); err != nil {
 				t.Fatal(err)
 			}
 			if want := int64(len(before) + 5000 - 1000); liveSize != want {

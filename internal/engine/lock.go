@@ -1,4 +1,4 @@
-// Per-object reader/writer locks with fair FIFO queuing.
+// Per-object FIFO locks.
 //
 // The lock manager sits at the top of the engine's lock order:
 //
@@ -8,6 +8,11 @@
 // An object lock is always acquired before the store mutex and released
 // after it; no code path acquires a second object lock while holding one,
 // so the per-object locks cannot deadlock against each other.
+//
+// The lock has one mode. A shared mode would buy nothing: every operation
+// runs under storemu, which only a durability barrier releases mid-
+// operation, and reads never reach a barrier — so two reads of one object
+// never overlap anyway, and sharing would only change where they queue.
 package engine
 
 import (
@@ -16,85 +21,39 @@ import (
 	"lobstore/internal/disk"
 )
 
-// objLock is a fair reader/writer lock for one object. Unlike
-// sync.RWMutex, acquisition is strictly FIFO: a waiting writer blocks
-// later readers, so neither side starves.
+// objLock is a mutex for one object whose hand-off is strictly FIFO:
+// unlike sync.Mutex, a releaser passes the lock to the longest waiter, so
+// no operation on a hot object starves.
 type objLock struct {
-	mu      sync.Mutex
-	writer  bool // a writer currently holds the lock
-	readers int  // readers currently holding the lock
-	queue   []*waiter
+	mu    sync.Mutex
+	held  bool
+	queue []chan struct{}
 }
 
-// waiter is one queued acquisition; ready is closed under objLock.mu when
-// the lock is handed to it.
-type waiter struct {
-	write bool
-	ready chan struct{}
-}
-
-// acquire blocks until the lock is granted in the requested mode.
-func (l *objLock) acquire(write bool) {
+// acquire blocks until the lock is handed to the caller.
+func (l *objLock) acquire() {
 	l.mu.Lock()
-	if len(l.queue) == 0 && l.grantable(write) {
-		l.grant(write)
+	if !l.held {
+		l.held = true
 		l.mu.Unlock()
 		return
 	}
-	w := &waiter{write: write, ready: make(chan struct{})}
-	l.queue = append(l.queue, w)
+	ready := make(chan struct{})
+	l.queue = append(l.queue, ready)
 	l.mu.Unlock()
-	<-w.ready
+	<-ready
 }
 
-// release returns the lock held in the given mode and wakes waiters.
-func (l *objLock) release(write bool) {
+// release hands the lock to the first waiter, or frees it if none waits.
+func (l *objLock) release() {
 	l.mu.Lock()
-	if write {
-		l.writer = false
+	if len(l.queue) == 0 {
+		l.held = false
 	} else {
-		l.readers--
-	}
-	l.promote()
-	l.mu.Unlock()
-}
-
-// grantable reports whether the lock can be taken in the given mode right
-// now, ignoring the queue. Callers must hold l.mu.
-func (l *objLock) grantable(write bool) bool {
-	if l.writer {
-		return false
-	}
-	if write {
-		return l.readers == 0
-	}
-	return true
-}
-
-func (l *objLock) grant(write bool) {
-	if write {
-		l.writer = true
-	} else {
-		l.readers++
-	}
-}
-
-// promote hands the lock to queued waiters in FIFO order: a run of leading
-// readers is granted together; a leading writer is granted alone. Callers
-// must hold l.mu.
-func (l *objLock) promote() {
-	for len(l.queue) > 0 {
-		w := l.queue[0]
-		if !l.grantable(w.write) {
-			return
-		}
+		close(l.queue[0])
 		l.queue = l.queue[1:]
-		l.grant(w.write)
-		close(w.ready)
-		if w.write {
-			return
-		}
 	}
+	l.mu.Unlock()
 }
 
 // lockTable lazily allocates one objLock per object root. Entries are
@@ -120,18 +79,15 @@ func (t *lockTable) get(id disk.Addr) *objLock {
 	return l
 }
 
-// LockCycle runs n uncontended shared-then-exclusive acquire/release
-// cycles on one object lock — the fixed per-request overhead every
-// serving operation pays before touching the store. Exported for the
-// lobbench micro harness, which pins its cost (and zero-allocation
-// behaviour) in the tracked bench artifact.
+// LockCycle runs n uncontended acquire/release cycles on one object lock —
+// the fixed per-request overhead every serving operation pays before
+// touching the store. Exported for the lobbench micro harness, which pins
+// its cost (and zero-allocation behaviour) in the tracked bench artifact.
 func LockCycle(n int) {
 	var t lockTable
 	l := t.get(disk.Addr{Area: 1, Page: 42})
 	for i := 0; i < n; i++ {
-		l.acquire(false)
-		l.release(false)
-		l.acquire(true)
-		l.release(true)
+		l.acquire()
+		l.release()
 	}
 }

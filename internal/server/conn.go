@@ -237,7 +237,7 @@ func (c *servConn) doCreate(t reqTask) {
 }
 
 // doRead streams the requested range as chunked RespData frames. Each
-// chunk is a separate engine read under the object's shared lock, so a
+// chunk is a separate engine read under the object's lock, so a
 // multi-megabyte scan never starves writers; each chunk buffer is pooled
 // and travels untouched from the engine's read into the writev. A range
 // longer than one chunk is checked whole before the first frame goes out,

@@ -126,7 +126,7 @@ type Config struct {
 	GroupCommit GroupCommit
 	// Concurrent serves the database through the concurrency engine
 	// (internal/engine): object handles become safe for concurrent use
-	// behind per-object reader/writer locks, DB accessors are guarded, and
+	// behind per-object FIFO locks, DB accessors are guarded, and
 	// DB.Snapshot opens lock-free frozen readers that piggyback on §3.3
 	// shadowing. Requires Materialize. Off by default — and with it off,
 	// every code path, trace and paper table is byte-identical to a build

@@ -69,11 +69,18 @@ var managers = map[catalog.Kind]struct {
 	},
 }
 
-// createManaged builds a new object under the manager spec.Engine names.
+// createManaged builds a new object under the manager spec.Engine names
+// and writes its root through, so the volume holds the object's committed
+// image from its creation on (§3.3: the root is the commit point). A named
+// object or long field therefore reopens after a crash right behind its
+// creation, and a snapshot can freeze its root from the volume alone.
 func createManaged(st *store.Store, spec ObjectSpec) (managed, catalog.Kind, error) {
 	for kind, mgr := range managers {
 		if kind.String() == spec.Engine {
 			m, err := mgr.create(st, spec)
+			if err == nil {
+				err = st.Pool.FlushPage(m.Root())
+			}
 			return m, kind, err
 		}
 	}
