@@ -20,9 +20,9 @@ func concurrentConfig() lobstore.Config {
 	return cfg
 }
 
-// TestConcurrentRequiresMaterialize pins the facade contract: snapshot
-// readers serve committed bytes, so Concurrent without Materialize is a
-// configuration error — wrapped so front-ends can errors.Is it — not a
+// TestConcurrentRequiresMaterialize pins the facade contract: pinned
+// reads serve committed bytes from the volume, so Concurrent without
+// Materialize is a configuration error — wrapped so front-ends can errors.Is it — not a
 // silent downgrade.
 func TestConcurrentRequiresMaterialize(t *testing.T) {
 	cfg := concurrentConfig()
@@ -33,6 +33,74 @@ func TestConcurrentRequiresMaterialize(t *testing.T) {
 	}
 	if !errors.Is(err, lobstore.ErrConfig) {
 		t.Fatalf("got %v, want an ErrConfig-wrapped error", err)
+	}
+}
+
+// A read of an object's last, partial page races the appends that
+// complete it. The memory backend lends the reader views of its array
+// outside any latch, while an append's tail completion writes that page
+// again with the committed bytes unchanged; under the race detector this
+// fails if the rewrite stores over them.
+func TestConcurrentTailReadDuringAppend(t *testing.T) {
+	db, err := lobstore.Open(concurrentConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ps := int64(db.PageSize())
+	at := func(i int64) byte { return byte(i % 251) }
+	for _, spec := range []lobstore.ObjectSpec{
+		{Engine: "esm", LeafPages: 4},
+		{Engine: "starburst"},
+		{Engine: "eos", Threshold: 4},
+	} {
+		obj, err := db.Create("tail-"+spec.Engine, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const appends, chunk = 200, 100
+		done := make(chan struct{})
+		readErr := make(chan error, 1)
+		go func() {
+			defer close(readErr)
+			buf := make([]byte, ps)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				size := obj.Size()
+				from := size - size%ps
+				if from == size {
+					continue
+				}
+				if err := obj.Read(from, buf[:size-from]); err != nil {
+					readErr <- fmt.Errorf("%s: read [%d,%d): %w", spec.Engine, from, size, err)
+					return
+				}
+				for i, b := range buf[:size-from] {
+					if b != at(from+int64(i)) {
+						readErr <- fmt.Errorf("%s: byte %d of the last page reads %#x", spec.Engine, from+int64(i), b)
+						return
+					}
+				}
+			}
+		}()
+		data := make([]byte, chunk)
+		for n := int64(0); err == nil && n < appends*chunk; n += chunk {
+			for i := range data {
+				data[i] = at(n + int64(i))
+			}
+			err = obj.Append(data)
+		}
+		close(done)
+		if rerr := <-readErr; rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			t.Fatalf("%s: append: %v", spec.Engine, err)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package disk
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // MemVolume is the default Volume: each area is a flat in-memory byte
 // array grown lazily up to its fixed page capacity. It is the simulation
@@ -91,23 +94,26 @@ func (v *MemVolume) ReadRun(addr Addr, npages int, dst []byte) error {
 	return nil
 }
 
-// ReadBytes copies the materialized part of the byte range and zeroes the
-// rest.
-func (v *MemVolume) ReadBytes(addr Addr, off int64, dst []byte) error {
+// View lends the materialized part of the byte range straight from the
+// area's array and the rest from the shared zero block. A later growth
+// reallocates the array, but the bytes a view covers stay correct in the
+// old one: growth copies them, and nothing writes the old array again.
+func (v *MemVolume) View(addr Addr, off, n int64, dst [][]byte) ([][]byte, error) {
 	a, err := v.area(addr.Area)
 	if err != nil {
-		return err
+		return dst, err
 	}
 	start := int64(addr.Page)*int64(v.pageSize) + off
-	if off < 0 || start+int64(len(dst)) > int64(a.npages)*int64(v.pageSize) {
-		return fmt.Errorf("disk: bytes [%v+%d,+%d) outside area %d", addr, off, len(dst), addr.Area)
+	end := start + n
+	if off < 0 || n < 0 || end > int64(a.npages)*int64(v.pageSize) {
+		return dst, fmt.Errorf("disk: bytes [%v+%d,+%d) outside area %d", addr, off, n, addr.Area)
 	}
-	m := 0
-	if start < int64(len(a.data)) {
-		m = copy(dst, a.data[start:])
+	if have := int64(len(a.data)); start < have {
+		m := min(end, have)
+		dst = append(dst, a.data[start:m:m])
+		start = m
 	}
-	clear(dst[m:])
-	return nil
+	return AppendZeros(dst, end-start), nil
 }
 
 // WriteRun stores the run, growing the area's backing array as needed.
@@ -119,8 +125,25 @@ func (v *MemVolume) WriteRun(addr Addr, npages int, src []byte) error {
 	n := npages * v.pageSize
 	off := int(addr.Page) * v.pageSize
 	a.ensure(off + n)
-	copy(a.data[off:off+n], src[:n])
+	dst := a.data[off : off+n]
+	// Store from the first byte that differs. An append's tail completion
+	// rewrites committed bytes with identical values, and those bytes may
+	// be lent to a reader's view outside any latch: skipping them leaves
+	// that rewrite no write to race with.
+	k := commonPrefix(dst, src[:n])
+	copy(dst[k:], src[k:n])
 	return nil
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+64 <= n && bytes.Equal(a[i:i+64], b[i:i+64]); i += 64 {
+	}
+	for ; i < n && a[i] == b[i]; i++ {
+	}
+	return i
 }
 
 // Grow materializes the first npages pages of area id up front.

@@ -9,7 +9,9 @@ package disk
 // internal/filevol) gets identical instrumentation.
 //
 // Implementations are not required to be safe for concurrent use; the
-// storage system above is single-threaded by design.
+// storage system above is single-threaded by design, and the concurrent
+// engine either uses a backend that is (the file volume) or latches one
+// that is not (engine.LatchedVolume).
 type Volume interface {
 	// PageSize returns the page size in bytes. All runs are multiples of it.
 	PageSize() int
@@ -27,12 +29,16 @@ type Volume interface {
 	// npages*PageSize bytes (the decorator validates).
 	ReadRun(addr Addr, npages int, dst []byte) error
 
-	// ReadBytes copies the len(dst) bytes that start off bytes past the
-	// first byte of page addr into dst, crossing page boundaries as needed.
-	// Bytes never written read as zeros. It is the byte-granular read of a
-	// pinned copy (internal/engine), which the cost-accounting decorator
-	// never sees.
-	ReadBytes(addr Addr, off int64, dst []byte) error
+	// View appends to dst read-only slices that together hold the n bytes
+	// that start off bytes past the first byte of page addr, crossing page
+	// boundaries as needed, and returns the extended slice. Bytes never
+	// written read as zeros. The slices lend the backend's own storage, not
+	// a copy: the caller must not write them, and they stay valid only
+	// while nothing rewrites or frees the bytes they cover — in the engine,
+	// while the pin that resolved them is held — and the volume is open.
+	// It is the byte-granular read of a pinned read (internal/engine),
+	// which the cost-accounting decorator never sees.
+	View(addr Addr, off, n int64, dst [][]byte) ([][]byte, error)
 
 	// WriteRun stores npages adjacent pages from src starting at addr,
 	// growing the backing store as needed. src holds at least
@@ -51,6 +57,22 @@ type Volume interface {
 
 	// Close releases backend resources. The volume is unusable afterwards.
 	Close() error
+}
+
+// zeros is the block that views of never-written bytes lend. Views are
+// read-only, so nothing ever writes it.
+var zeros [64 << 10]byte
+
+// AppendZeros appends to dst views of n zero bytes, all lent from one
+// shared block, and returns the extended slice: the part of a View that
+// lies past a backend's materialized bytes.
+func AppendZeros(dst [][]byte, n int64) [][]byte {
+	for n > 0 {
+		k := min(n, int64(len(zeros)))
+		dst = append(dst, zeros[:k:k])
+		n -= k
+	}
+	return dst
 }
 
 // SyncStats are the cumulative durability counters of a backend that runs

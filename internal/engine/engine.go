@@ -18,8 +18,8 @@
 // free lists.
 //
 // Reads run under the two locks only to resolve and pin the extents they
-// cover; the bytes are copied from the volume after both are released (see
-// snapshot.go).
+// cover; the bytes are read from views of the volume after both are
+// released (see snapshot.go).
 package engine
 
 import (
@@ -39,7 +39,7 @@ var ErrClosed = errors.New("engine closed")
 // Engine is the concurrency layer above one deterministic store.
 type Engine struct {
 	st *store.Store
-	// vol is the store's volume, which pinned copies read directly.
+	// vol is the store's volume, which lends pinned reads their views.
 	vol disk.Volume
 
 	// storemu serializes operations against the deterministic core.
@@ -57,7 +57,7 @@ type Engine struct {
 	// only taken under storemu while the engine is open, so every Add
 	// happens before Close's Wait.
 	copies sync.WaitGroup
-	// readCalls and pagesRead count the volume reads of pinned copies,
+	// readCalls and pagesRead count the volume views of pinned reads,
 	// which bypass the store's cost-accounting disk.
 	readCalls, pagesRead atomic.Int64
 
@@ -206,9 +206,10 @@ func (e *Engine) Stats() Stats {
 }
 
 // Close quiesces the engine: it waits for in-flight operations, requires
-// every snapshot to be closed, waits for the copies of pinned reads in
-// flight, drains the epoch queue, and uninstalls the store hooks so the
-// store (and its volume) can be closed single-threaded afterwards.
+// every snapshot to be closed, waits for every pin to be released — a
+// view must never outlive its volume — drains the epoch queue, and
+// uninstalls the store hooks so the store (and its volume) can be closed
+// single-threaded afterwards.
 func (e *Engine) Close() error {
 	e.storemu.Lock()
 	if e.closed {
@@ -238,8 +239,8 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// ReadStats returns the volume read calls and pages of pinned copies so
-// far; the store's disk counts every other read.
+// ReadStats returns the volume views and pages of pinned reads so far;
+// the store's disk counts every other read.
 func (e *Engine) ReadStats() (calls, pages int64) {
 	return e.readCalls.Load(), e.pagesRead.Load()
 }

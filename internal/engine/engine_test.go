@@ -148,8 +148,8 @@ func TestClosedEngineRejectsWork(t *testing.T) {
 }
 
 // Close races a streaming read: it must not return — after which the store
-// closes its volume — while the read still copies from its pin, and the
-// chunks read meanwhile must be intact.
+// closes its volume — while the read still holds its pin, and the views
+// the pin lent, read meanwhile, must stay intact.
 func TestCloseWaitsForPinnedCopies(t *testing.T) {
 	e := newEngine(t, 64)
 	var h *Handle
@@ -174,22 +174,30 @@ func TestCloseWaitsForPinnedCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	views, err := p.Views(0, int64(len(data)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	closed := make(chan error, 1)
 	go func() { closed <- e.Close() }()
-	chunk := make([]byte, 8<<10)
-	for off := 0; off < len(data); off += len(chunk) {
-		time.Sleep(time.Millisecond)
-		if err := p.Read(int64(off), chunk); err != nil {
-			t.Fatal(err)
+	off := 0
+	for _, v := range views {
+		for len(v) > 0 {
+			time.Sleep(time.Millisecond)
+			k := min(len(v), 8<<10)
+			if !bytes.Equal(v[:k], data[off:off+k]) {
+				t.Fatalf("view at %d differs from the appended bytes", off)
+			}
+			off, v = off+k, v[k:]
+			select {
+			case err := <-closed:
+				t.Fatalf("Close returned (%v) while a pinned read still held its views", err)
+			default:
+			}
 		}
-		if !bytes.Equal(chunk, data[off:off+len(chunk)]) {
-			t.Fatalf("chunk at %d differs from the appended bytes", off)
-		}
-		select {
-		case err := <-closed:
-			t.Fatalf("Close returned (%v) while a pinned read was still copying", err)
-		default:
-		}
+	}
+	if off != len(data) {
+		t.Fatalf("views cover %d bytes, want %d", off, len(data))
 	}
 	if err := p.Release(); err != nil {
 		t.Fatal(err)

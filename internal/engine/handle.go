@@ -23,6 +23,9 @@ var _ core.Object = (*Handle)(nil)
 // Root returns the object's root/descriptor address.
 func (h *Handle) Root() disk.Addr { return h.root }
 
+// Engine returns the engine the handle's operations run through.
+func (h *Handle) Engine() *Engine { return h.e }
+
 func (h *Handle) do(f func() error) error { return h.e.Do(h.root, f) }
 
 func (h *Handle) Size() int64 {
@@ -41,12 +44,12 @@ func (h *Handle) Append(data []byte) error {
 }
 
 // Pin resolves and pins the committed image of [off, off+n); read it with
-// Pin.Read and give it back with Release.
+// Pin.Read or Pin.Views and give it back with Release.
 func (h *Handle) Pin(off, n int64) (*Pin, error) { return h.e.pin(h.root, h.inner, off, n) }
 
-// Read is the serving hot path and must not allocate: pins are pooled,
-// and Do and Run only call their func argument, so the resolve closure
-// stays on the stack (TestHandleReadZeroAllocs).
+// Read is the serving hot path and must not allocate: pins and view lists
+// are pooled, and Do and Run only call their func argument, so the
+// resolve closure stays on the stack (TestHandleReadZeroAllocs).
 func (h *Handle) Read(off int64, dst []byte) error {
 	p, err := h.Pin(off, int64(len(dst)))
 	if err != nil {

@@ -11,7 +11,7 @@
 //
 // The lock has one mode. A shared mode would buy nothing: a read holds the
 // lock only to resolve and pin its extents, which runs under storemu
-// anyway, and copies its bytes after releasing both — so sharing would
+// anyway, and reads its bytes after releasing both — so sharing would
 // only change where reads queue.
 package engine
 

@@ -1,11 +1,13 @@
 // Pinned reads piggyback on the §3.3 shadow protocol.
 //
 // Every read — Handle.Read, a server's streamed read, a Snapshot — is
-// resolve, pin, copy. Under the object lock and the store mutex the
+// resolve, pin, view. Under the object lock and the store mutex the
 // object's index yields the leaf extents covering the requested range, and
 // an epoch pin is taken at the same instant. Both locks are then released
-// and the bytes are read from the volume straight into the caller's
-// buffer. Three facts make the lock-free copy safe:
+// and the volume lends read-only views of the pinned bytes, which the
+// caller copies out (Read) or hands to a socket (the server) before it
+// releases the pin. Three facts make reading the views outside the locks
+// safe:
 //
 //  1. The object lock orders the resolve after every mutation of the
 //     object that started before it, so the index in the pool is a
@@ -13,8 +15,9 @@
 //  2. Leaf bytes never pass through the pool dirty: every leaf write goes
 //     to the volume directly (store.WritePages), and it goes to freshly
 //     allocated pages, except the tail completion of an append, which
-//     rewrites committed bytes identically. A concurrent write therefore
-//     never changes a byte a pin covers. (ESM's NoShadow ablation breaks
+//     rewrites committed bytes identically (the memory backend does not
+//     store them again at all). A concurrent write therefore never
+//     changes a byte a pin covers. (ESM's NoShadow ablation breaks
 //     this, so a Concurrent database refuses it.)
 //  3. The pages a later mutation frees are retired under the current
 //     epoch, and the epoch manager defers their reuse until the last pin
@@ -48,11 +51,19 @@ type Pin struct {
 	off, n int64
 	ext    []store.Extent
 	epoch  uint64
+	// views is Read's view list. It starts in inline, so a fresh pin reads
+	// a few extents without another allocation.
+	views  [][]byte
+	inline [4][]byte
 }
 
-// pinPool recycles pins with their extent slices, so a warmed read
-// allocates nothing.
-var pinPool = sync.Pool{New: func() any { return new(Pin) }}
+// pinPool recycles pins with their extent slices and view lists, so a
+// warmed read allocates nothing.
+var pinPool = sync.Pool{New: func() any {
+	p := new(Pin)
+	p.views = p.inline[:0]
+	return p
+}}
 
 // pin resolves [off, off+n) of obj, the object rooted at root, and pins it.
 func (e *Engine) pin(root disk.Addr, obj Object, off, n int64) (*Pin, error) {
@@ -75,7 +86,7 @@ func (e *Engine) pin(root disk.Addr, obj Object, off, n int64) (*Pin, error) {
 	return p, nil
 }
 
-// pinLocked takes p's epoch pin and counts it as a copy in flight, which
+// pinLocked takes p's epoch pin and counts it as a read in flight, which
 // Close waits for. Callers hold storemu and have checked the engine open.
 func (e *Engine) pinLocked(p *Pin) {
 	p.e = e
@@ -83,12 +94,15 @@ func (e *Engine) pinLocked(p *Pin) {
 	e.copies.Add(1)
 }
 
-// Read fills dst with the pinned bytes at [off, off+len(dst)), which must
-// lie inside the pinned range: one volume read per extent it touches.
-func (p *Pin) Read(off int64, dst []byte) error {
-	end := off + int64(len(dst))
-	if off < p.off || end > p.off+p.n {
-		return fmt.Errorf("engine: read [%d,+%d) outside the pinned [%d,+%d): %w", off, len(dst), p.off, p.n, core.ErrOutOfRange)
+// Views appends to dst read-only views of the pinned bytes at
+// [off, off+n), which must lie inside the pinned range — one volume view
+// per extent it touches — and returns the extended slice. The views lend
+// the volume's own bytes: they must not be written, and they stay valid
+// until the pin is released.
+func (p *Pin) Views(off, n int64, dst [][]byte) ([][]byte, error) {
+	end := off + n
+	if off < p.off || n < 0 || end > p.off+p.n {
+		return dst, fmt.Errorf("engine: read [%d,+%d) outside the pinned [%d,+%d): %w", off, n, p.off, p.n, core.ErrOutOfRange)
 	}
 	e, ps := p.e, int64(p.e.st.PageSize())
 	i := sort.Search(len(p.ext), func(i int) bool { return p.ext[i].Pos+p.ext[i].Len > off })
@@ -96,14 +110,36 @@ func (p *Pin) Read(off int64, dst []byte) error {
 		x := p.ext[i]
 		at := x.Off + pos - x.Pos
 		take := min(x.Pos+x.Len-pos, end-pos)
-		if err := e.vol.ReadBytes(x.Addr, at, dst[pos-off:][:take]); err != nil {
-			return fmt.Errorf("engine: read %v+%d: %w", x.Addr, at, err)
+		var err error
+		if dst, err = e.vol.View(x.Addr, at, take, dst); err != nil {
+			return dst, fmt.Errorf("engine: read %v+%d: %w", x.Addr, at, err)
 		}
 		e.readCalls.Add(1)
 		e.pagesRead.Add((at+take-1)/ps - at/ps + 1)
 		pos += take
 	}
-	return nil
+	return dst, nil
+}
+
+// Read fills dst with the pinned bytes at [off, off+len(dst)), which must
+// lie inside the pinned range: Views, then a copy of each view. It reuses
+// the pin's view list, so only one goroutine may read a pin this way at a
+// time; each read of a Snapshot's shared pin brings its own list.
+func (p *Pin) Read(off int64, dst []byte) error {
+	var err error
+	p.views, err = p.readInto(off, dst, p.views)
+	return err
+}
+
+// readInto is Read with the view list list, which it returns emptied for
+// reuse.
+func (p *Pin) readInto(off int64, dst []byte, list [][]byte) ([][]byte, error) {
+	views, err := p.Views(off, int64(len(dst)), list[:0])
+	for _, v := range views {
+		dst = dst[copy(dst, v):]
+	}
+	clear(views) // keep no reference to volume storage
+	return views[:0], err
 }
 
 // Release drops the pin, which must not be used afterwards. If a batch of
@@ -129,8 +165,8 @@ func (p *Pin) Release() error {
 type Snapshot struct {
 	root disk.Addr
 	util core.Utilization
-	// mu orders reads before Close: a read holds it shared across its
-	// volume reads, so Close never releases the pin under one.
+	// mu orders reads before Close: a read holds it shared while it copies
+	// from its views, so Close never releases the pin under one.
 	mu     sync.RWMutex
 	pin    *Pin
 	closed bool
@@ -187,7 +223,8 @@ func (sn *Snapshot) Read(off int64, dst []byte) error {
 		if err := core.CheckRange(sn.pin.n, off, int64(len(dst))); err != nil {
 			return err
 		}
-		return sn.pin.Read(off, dst)
+		_, err := sn.pin.readInto(off, dst, nil)
+		return err
 	})
 }
 

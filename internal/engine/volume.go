@@ -8,12 +8,16 @@ import (
 
 // LatchedVolume serializes access to a volume implementation that is not
 // safe for concurrent use — the in-memory backend, whose WriteRun
-// reallocates area storage — including the ReadBytes of pinned copies.
-// The file backend does not need it: a filevol.Volume is safe for
+// reallocates area storage. A pinned read takes the latch only to be lent
+// its views and reads them after releasing it: a reallocation leaves the
+// lent bytes intact in the old array, and the memory backend's WriteRun
+// stores nothing before the first byte it changes. The one write that
+// reaches committed bytes, an append's tail completion, changes none of
+// them, so no pinned byte is written while a view of it is read. The file
+// backend does not need the latch: a filevol.Volume is safe for
 // concurrent use, guarding its bookkeeping and page-run pread/pwrite with
-// its own mutex, and dropping that mutex for ReadBytes' pread and for a
-// barrier's device flush, so a copy never waits out a committer's
-// fdatasync.
+// its own mutex and dropping that mutex for a barrier's device flush, so
+// a pinned read never waits out a committer's fdatasync.
 //
 // Sync is deliberately passed through unlatched. The volume lock ranks
 // last in the engine lock order and must never be held across a
@@ -52,11 +56,11 @@ func (v *LatchedVolume) ReadRun(addr disk.Addr, npages int, dst []byte) error {
 	return err
 }
 
-func (v *LatchedVolume) ReadBytes(addr disk.Addr, off int64, dst []byte) error {
+func (v *LatchedVolume) View(addr disk.Addr, off, n int64, dst [][]byte) ([][]byte, error) {
 	v.volmu.Lock()
-	err := v.inner.ReadBytes(addr, off, dst)
+	dst, err := v.inner.View(addr, off, n, dst)
 	v.volmu.Unlock()
-	return err
+	return dst, err
 }
 
 func (v *LatchedVolume) WriteRun(addr disk.Addr, npages int, src []byte) error {

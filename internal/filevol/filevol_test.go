@@ -75,36 +75,63 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
-// ReadBytes is byte-granular on both backends: a range crosses page
+// View is byte-granular on both backends: a range crosses page
 // boundaries, bytes past what was written read as zeros, and a range past
-// the area's end is an error.
-func TestReadBytes(t *testing.T) {
-	for _, v := range []disk.Volume{openTest(t, t.TempDir()), disk.NewMemVolume(pageSize)} {
+// the area's end is an error. The file backend lends its views from a
+// mapping made by the first View, so the test also views bytes written
+// after that, bytes of a grown area, and the same bytes after a reopen.
+func TestView(t *testing.T) {
+	dir := t.TempDir()
+	aa, bb, cc := page(0xAA), page(0xBB), page(0xCC)
+	for _, v := range []disk.Volume{openTest(t, dir), disk.NewMemVolume(pageSize)} {
 		if _, err := v.AddArea(16); err != nil {
 			t.Fatalf("AddArea: %v", err)
 		}
-		if err := v.WriteRun(disk.Addr{Page: 7}, 2, append(page(0xAA), page(0xBB)...)); err != nil {
+		if err := v.WriteRun(disk.Addr{Page: 7}, 2, append(aa, bb...)); err != nil {
 			t.Fatalf("WriteRun: %v", err)
 		}
-		got := make([]byte, 40)
-		if err := v.ReadBytes(disk.Addr{Page: 7}, pageSize-12, got[:30]); err != nil {
-			t.Fatalf("%T: ReadBytes across pages: %v", v, err)
+		wantView(t, v, disk.Addr{Page: 7}, pageSize-12, append(aa[:12:12], bb[:18]...))
+		wantView(t, v, disk.Addr{Page: 8}, pageSize-12, append(bb[:12:12], make([]byte, 28)...))
+		if _, err := v.View(disk.Addr{Page: 15}, pageSize-12, 40, nil); err == nil {
+			t.Fatalf("%T: View past the area's end succeeded", v)
 		}
-		if want := append(bytes.Repeat([]byte{0xAA}, 12), bytes.Repeat([]byte{0xBB}, 18)...); !bytes.Equal(got[:30], want) {
-			t.Fatalf("%T: ReadBytes across pages read %x", v, got[:30])
+
+		// Written after the first View mapped the area.
+		if err := v.WriteRun(disk.Addr{Page: 9}, 1, cc); err != nil {
+			t.Fatalf("WriteRun: %v", err)
 		}
-		if err := v.ReadBytes(disk.Addr{Page: 8}, pageSize-12, got); err != nil {
-			t.Fatalf("%T: ReadBytes past the written end: %v", v, err)
+		wantView(t, v, disk.Addr{Page: 8}, 0, append(bb[:pageSize:pageSize], cc...))
+
+		// Grown past the written end: the hole reads as zeros.
+		if err := v.Grow(0, 12); err != nil {
+			t.Fatalf("Grow: %v", err)
 		}
-		if want := append(bytes.Repeat([]byte{0xBB}, 12), make([]byte, 28)...); !bytes.Equal(got, want) {
-			t.Fatalf("%T: ReadBytes past the written end read %x", v, got)
-		}
-		if err := v.ReadBytes(disk.Addr{Page: 15}, pageSize-12, got); err == nil {
-			t.Fatalf("%T: ReadBytes past the area's end succeeded", v)
-		}
+		wantView(t, v, disk.Addr{Page: 9}, pageSize/2, append(cc[pageSize/2:pageSize:pageSize], make([]byte, 3*pageSize)...))
 		if err := v.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
+	}
+
+	v := openTest(t, dir)
+	if _, err := v.AddArea(16); err != nil {
+		t.Fatalf("reopen AddArea: %v", err)
+	}
+	wantView(t, v, disk.Addr{Page: 7}, 0, append(append(aa, bb...), cc...))
+	if err := v.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// wantView fails the test unless the view of len(want) bytes at off past
+// addr reads want.
+func wantView(t *testing.T, v disk.Volume, addr disk.Addr, off int64, want []byte) {
+	t.Helper()
+	views, err := v.View(addr, off, int64(len(want)), nil)
+	if err != nil {
+		t.Fatalf("%T: View %v+%d: %v", v, addr, off, err)
+	}
+	if got := bytes.Join(views, nil); !bytes.Equal(got, want) {
+		t.Fatalf("%T: View %v+%d read %x, want %x", v, addr, off, got, want)
 	}
 }
 

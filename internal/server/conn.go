@@ -19,8 +19,6 @@ type buf struct{ b []byte }
 var (
 	// bodyPool recycles request payload buffers (reader → worker).
 	bodyPool = sync.Pool{New: func() any { return &buf{} }}
-	// chunkPool recycles streaming-read chunk buffers (worker → writer).
-	chunkPool = sync.Pool{New: func() any { return &buf{} }}
 	// respPool recycles response frames (worker → writer).
 	respPool = sync.Pool{New: func() any { return &response{} }}
 )
@@ -35,22 +33,35 @@ type reqTask struct {
 }
 
 // response is one frame queued for the connection's writer: a pre-built
-// header and its payload. Small payloads (OK, Stat, most errors) live in
-// the inline array; streaming-read chunks point at a pooled chunk buffer
-// that the writer recycles after the writev.
+// header and its payload, as the list of slices the writev sends. Small
+// payloads (OK, Stat, most errors) live in the inline array; a streamed
+// read's payload is the views of its pinned bytes, lent by the volume and
+// never copied before the writev. The frame that ends a streamed read
+// carries its pin, which the writer releases once the writev has returned:
+// writev has copied every byte into the socket by then, so no view is
+// read after its pin is gone.
 type response struct {
 	hdr   [wire.HeaderSize]byte
-	data  []byte
-	chunk *buf // non-nil: recycle into chunkPool after writing
+	body  [][]byte
+	pin   *engine.Pin
 	small [64]byte
 }
 
-func putResp(r *response) {
-	if r.chunk != nil {
-		chunkPool.Put(r.chunk)
-		r.chunk = nil
+// releasePin gives back the pin a frame carries, if any. Nothing is left
+// to report a release failure to, so it is counted as a server error.
+func (c *servConn) releasePin(r *response) {
+	if r.pin == nil {
+		return
 	}
-	r.data = nil
+	if err := r.pin.Release(); err != nil {
+		c.s.serverErrs.Add(1)
+	}
+	r.pin = nil
+}
+
+func putResp(r *response) {
+	clear(r.body) // hold no reference to volume storage while pooled
+	r.body = r.body[:0]
 	respPool.Put(r)
 }
 
@@ -127,7 +138,9 @@ func (c *servConn) workLoop() {
 
 // writeLoop flushes queued responses. Each wakeup gathers everything
 // already queued into a single writev, so a burst of pipelined
-// responses costs one syscall, and recycles the buffers afterwards.
+// responses costs one syscall, and afterwards releases the pins the batch
+// carries and recycles its frames — on a failed socket too, where the
+// frames are discarded unwritten.
 func (c *servConn) writeLoop() {
 	var (
 		vecs   = make(net.Buffers, 0, 32)
@@ -156,10 +169,7 @@ func (c *servConn) writeLoop() {
 		if !failed {
 			vecs = vecs[:0]
 			for _, r := range batch {
-				vecs = append(vecs, r.hdr[:])
-				if len(r.data) > 0 {
-					vecs = append(vecs, r.data)
-				}
+				vecs = append(append(vecs, r.hdr[:]), r.body...)
 			}
 			*wv = vecs
 			if _, err := wv.WriteTo(c.conn); err != nil {
@@ -170,6 +180,7 @@ func (c *servConn) writeLoop() {
 			}
 		}
 		for _, r := range batch {
+			c.releasePin(r)
 			putResp(r)
 		}
 	}
@@ -198,7 +209,7 @@ func (c *servConn) dispatch(t reqTask) {
 	case wire.OpStat:
 		c.doStat(t)
 	default:
-		c.sendErrf(t.hdr.ReqID, "unknown opcode %#x", t.hdr.Type)
+		c.sendErrf(t.hdr.ReqID, nil, "unknown opcode %#x", t.hdr.Type)
 	}
 	s.lat.Observe(obs.WallNow() - start)
 }
@@ -230,7 +241,7 @@ func (c *servConn) doCreate(t reqTask) {
 		return
 	}
 	if !c.s.register(name, obj.(*engine.Handle)) {
-		c.sendErrf(t.hdr.ReqID, "object %q already open", name)
+		c.sendErrf(t.hdr.ReqID, nil, "object %q already open", name)
 		return
 	}
 	c.sendOK(t.hdr.ReqID, 0)
@@ -238,11 +249,12 @@ func (c *servConn) doCreate(t reqTask) {
 
 // doRead streams the requested range as chunked RespData frames, all from
 // one pin: the range is resolved and pinned once, under the object's lock,
-// and every chunk is then copied from the volume with no engine lock held.
-// The whole response is one committed version, however many writers
-// commit meanwhile, and an out-of-range read is answered by RespErr alone,
-// before any frame goes out. Each chunk buffer is pooled and travels
-// untouched from the volume read into the writev.
+// and every chunk is then sent as views of the pinned bytes, with no engine
+// lock held and no copy before the writev. The whole response is one
+// committed version, however many writers commit meanwhile, and an
+// out-of-range read is answered by RespErr alone, before any frame goes
+// out. The pin travels with the frame that ends the stream — the last
+// RespData, or a RespErr if a view fails — and the writer releases it.
 func (c *servConn) doRead(t reqTask) {
 	req, err := wire.ParseReadReq(t.body.b)
 	if err != nil {
@@ -255,7 +267,7 @@ func (c *servConn) doRead(t reqTask) {
 		return
 	}
 	if req.Len == 0 {
-		c.sendData(t.hdr.ReqID, nil, nil, true)
+		c.sendData(t.hdr.ReqID, respPool.Get().(*response), 0, true)
 		return
 	}
 	off, remaining := int64(req.Off), int(req.Len)
@@ -266,24 +278,17 @@ func (c *servConn) doRead(t reqTask) {
 	}
 	for remaining > 0 {
 		n := min(remaining, c.s.opts.ChunkBytes)
-		cb := chunkPool.Get().(*buf)
-		if cap(cb.b) < n {
-			cb.b = make([]byte, n)
-		}
-		cb.b = cb.b[:n]
-		err := pin.Read(off, cb.b)
-		if remaining -= n; err != nil || remaining == 0 {
-			if rerr := pin.Release(); err == nil {
-				err = rerr
-			}
-		}
-		if err != nil {
-			chunkPool.Put(cb)
-			c.sendErr(t.hdr.ReqID, err)
+		r := respPool.Get().(*response)
+		if r.body, err = pin.Views(off, int64(n), r.body[:0]); err != nil {
+			putResp(r)
+			c.sendErrPin(t.hdr.ReqID, err, pin)
 			return
 		}
 		off += int64(n)
-		c.sendData(t.hdr.ReqID, cb.b, cb, remaining == 0)
+		if remaining -= n; remaining == 0 {
+			r.pin = pin
+		}
+		c.sendData(t.hdr.ReqID, r, n, remaining == 0)
 	}
 }
 
@@ -353,43 +358,49 @@ func (c *servConn) doStat(t reqTask) {
 		return
 	}
 	r := respPool.Get().(*response)
-	r.data = wire.AppendStatResp(r.small[:0], wire.StatResp{Size: uint64(obj.Size())})
-	wire.PutHeader(r.hdr[:], wire.Header{Type: wire.RespStat, Flags: wire.FlagLast, ReqID: t.hdr.ReqID, Len: uint32(len(r.data))})
+	data := wire.AppendStatResp(r.small[:0], wire.StatResp{Size: uint64(obj.Size())})
+	r.body = append(r.body[:0], data)
+	wire.PutHeader(r.hdr[:], wire.Header{Type: wire.RespStat, Flags: wire.FlagLast, ReqID: t.hdr.ReqID, Len: uint32(len(data))})
 	c.writeCh <- r
 }
 
 func (c *servConn) sendOK(reqID uint32, size uint64) {
 	r := respPool.Get().(*response)
-	r.data = wire.AppendOKResp(r.small[:0], wire.OKResp{Size: size})
-	wire.PutHeader(r.hdr[:], wire.Header{Type: wire.RespOK, Flags: wire.FlagLast, ReqID: reqID, Len: uint32(len(r.data))})
+	data := wire.AppendOKResp(r.small[:0], wire.OKResp{Size: size})
+	r.body = append(r.body[:0], data)
+	wire.PutHeader(r.hdr[:], wire.Header{Type: wire.RespOK, Flags: wire.FlagLast, ReqID: reqID, Len: uint32(len(data))})
 	c.writeCh <- r
 }
 
-// sendData enqueues one RespData chunk; chunk (if non-nil) is recycled
-// by the writer after the writev — the payload bytes are never copied
-// between the engine read and the socket.
-func (c *servConn) sendData(reqID uint32, data []byte, chunk *buf, last bool) {
-	r := respPool.Get().(*response)
-	r.data, r.chunk = data, chunk
+// sendData enqueues r, whose body holds n payload bytes, as one RespData
+// chunk.
+func (c *servConn) sendData(reqID uint32, r *response, n int, last bool) {
 	var flags uint16
 	if last {
 		flags = wire.FlagLast
 	}
-	wire.PutHeader(r.hdr[:], wire.Header{Type: wire.RespData, Flags: flags, ReqID: reqID, Len: uint32(len(data))})
+	wire.PutHeader(r.hdr[:], wire.Header{Type: wire.RespData, Flags: flags, ReqID: reqID, Len: uint32(n)})
 	c.writeCh <- r
 }
 
 func (c *servConn) sendErr(reqID uint32, err error) {
+	c.sendErrPin(reqID, err, nil)
+}
+
+// sendErrPin answers with RespErr; pin, if not nil, is the failed streamed
+// read's pin, which rides on the frame to the writer.
+func (c *servConn) sendErrPin(reqID uint32, err error, pin *engine.Pin) {
 	if !isClientError(err) {
 		c.s.serverErrs.Add(1)
 	}
-	c.sendErrf(reqID, "%v", err)
+	c.sendErrf(reqID, pin, "%v", err)
 }
 
-func (c *servConn) sendErrf(reqID uint32, format string, args ...any) {
+func (c *servConn) sendErrf(reqID uint32, pin *engine.Pin, format string, args ...any) {
 	r := respPool.Get().(*response)
-	msg := fmt.Sprintf(format, args...)
-	r.data = append(r.small[:0], msg...)
-	wire.PutHeader(r.hdr[:], wire.Header{Type: wire.RespErr, Flags: wire.FlagLast, ReqID: reqID, Len: uint32(len(r.data))})
+	data := fmt.Appendf(r.small[:0], format, args...)
+	r.body = append(r.body[:0], data)
+	r.pin = pin
+	wire.PutHeader(r.hdr[:], wire.Header{Type: wire.RespErr, Flags: wire.FlagLast, ReqID: reqID, Len: uint32(len(data))})
 	c.writeCh <- r
 }

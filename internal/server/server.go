@@ -14,12 +14,17 @@
 //     the barrier waits for company.
 //
 //   - Zero-copy streaming reads. A large read is answered as a stream
-//     of chunked RespData frames, all copied from one pin of the range,
-//     so a response is one committed version. Chunk buffers and frame
-//     headers come from sync.Pools, responses are gathered by the
-//     connection's writer goroutine into one writev (net.Buffers) per
-//     wakeup, and the engine's pins are pooled — steady state, a served
-//     read performs no per-request heap allocation in this package.
+//     of chunked RespData frames, all from one pin of the range, so a
+//     response is one committed version. Each frame's payload is the
+//     volume's own bytes — read-only views lent under the pin — and the
+//     writev copies them into the socket once; the writer releases the
+//     pin after the writev of the stream's last frame. Frames come from
+//     a sync.Pool, responses are gathered by the connection's writer
+//     goroutine into one writev (net.Buffers) per wakeup, and the
+//     engine's pins are pooled — steady state, a served read performs no
+//     per-request heap allocation in this package. A peer that stops
+//     reading therefore holds pinned pages, whose reuse waits, rather
+//     than buffers.
 //
 //   - Write batching. Mutations run on worker goroutines, so commits
 //     from many connections overlap inside the engine and pile into the
@@ -56,10 +61,10 @@ type Options struct {
 	Workers int
 	// ChunkBytes is the streaming-read frame payload size (default 64
 	// KiB). Reads larger than this are answered as several RespData
-	// frames, all copied from one pin of the range taken under the object
-	// lock once: the lock is not held while chunks stream, so writers
-	// interleave freely with long scans, and every frame of one response
-	// comes from the same committed version.
+	// frames, all sent from views of one pin of the range taken under the
+	// object lock once: the lock is not held while chunks stream, so
+	// writers interleave freely with long scans, and every frame of one
+	// response comes from the same committed version.
 	ChunkBytes int
 	// MaxPayload caps accepted request frames (default wire.MaxPayload).
 	MaxPayload int

@@ -286,7 +286,7 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("lobstore: %w: MaxSegmentPages %d must be a power of two", ErrConfig, cfg.MaxSegmentPages)
 	}
 	if cfg.Concurrent && !cfg.Materialize {
-		return nil, fmt.Errorf("lobstore: %w: Concurrent requires Materialize (snapshot readers peek committed bytes)", ErrConfig)
+		return nil, fmt.Errorf("lobstore: %w: Concurrent requires Materialize (pinned reads lend leaf bytes from the volume)", ErrConfig)
 	}
 	if cfg.Concurrent && cfg.BufferPages < MinConcurrentBufferPages {
 		return nil, fmt.Errorf("lobstore: %w: Concurrent with BufferPages %d is starvation-prone (parked committers pin their shadow pages in the shared pool; need >= %d)",
@@ -306,7 +306,7 @@ func openMem(cfg Config) (*DB, error) {
 	params := storeParams(cfg)
 	if cfg.Concurrent {
 		// The raw memory volume reallocates area storage on growth; latch
-		// it so concurrent committers and snapshot readers can share it.
+		// it so concurrent committers and pinned reads can share it.
 		params.Volume = engine.NewLatchedVolume(disk.NewMemVolume(cfg.PageSize))
 	}
 	st, err := store.Open(params)
