@@ -42,13 +42,10 @@ type Volume interface {
 
 	// WriteRun stores npages adjacent pages from src starting at addr,
 	// growing the backing store as needed. src holds at least
-	// npages*PageSize bytes (the decorator validates).
+	// npages*PageSize bytes (the decorator validates). A durable backend
+	// keeps its files dense: a run starting past a file's end first
+	// zero-fills the gap, so no write leaves or lands in a sparse hole.
 	WriteRun(addr Addr, npages int, src []byte) error
-
-	// Grow extends the backing store of area id so that at least npages
-	// pages are materialized without further growth (a preallocation hint;
-	// WriteRun grows implicitly regardless).
-	Grow(id AreaID, npages int) error
 
 	// Sync is the durability barrier: when it returns, every previously
 	// written byte has reached stable storage, subject to the backend's

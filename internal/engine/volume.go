@@ -70,13 +70,6 @@ func (v *LatchedVolume) WriteRun(addr disk.Addr, npages int, src []byte) error {
 	return err
 }
 
-func (v *LatchedVolume) Grow(id disk.AreaID, npages int) error {
-	v.volmu.Lock()
-	err := v.inner.Grow(id, npages)
-	v.volmu.Unlock()
-	return err
-}
-
 func (v *LatchedVolume) Sync() error { return v.inner.Sync() }
 
 func (v *LatchedVolume) Close() error {

@@ -13,6 +13,11 @@
 // policy "never" trades crash consistency for speed and only syncs on
 // Close.
 //
+// Dense files. Every byte below an area file's end has been written: a
+// write starting past the end first zero-fills the gap, so a durable write
+// is an overwrite or an append, never a block allocation inside the file
+// that the next barrier's fdatasync would have to commit too.
+//
 // Crash testing. With the crash log enabled the volume records the
 // pre-image of every page written since the last completed barrier, and an
 // armed power cut (FailAtBarrier) fires at a chosen barrier: all un-synced
@@ -141,10 +146,9 @@ type areaFile struct {
 	f      *os.File
 	npages int
 	dirty  bool // written since the last fsync
-	// size caches the backing file's materialized length so the hot paths
-	// (Grow on every allocation-driven extension) never stat the file. It
-	// is set from the one Stat in AddArea and maintained by WriteRun, Grow
-	// and the crash log's rollback truncate.
+	// size caches the backing file's length so writes and views never
+	// stat the file. It is set from the one Stat in AddArea and maintained
+	// by WriteRun and the crash log's rollback truncate.
 	size int64
 	// m is the area's read-only shared mapping over its full capacity,
 	// made by the first View and unmapped by Close (mmap_unix.go).
@@ -336,11 +340,12 @@ func (v *Volume) View(addr disk.Addr, off, n int64, dst [][]byte) ([][]byte, err
 	return disk.AppendZeros(dst, end-start), nil
 }
 
-// WriteRun pwrites npages adjacent pages from src, growing the file as
-// needed. Under SyncAlways the write is forced to stable storage before
-// returning. A write landing while another caller's barrier flush is in
-// flight re-dirties its area and is covered by the next flush, not that
-// one.
+// WriteRun pwrites npages adjacent pages from src. A run that starts past
+// the file's end first has the gap zero-filled (fillZeros), so the file
+// never holds a hole below its end. Under SyncAlways the write is forced
+// to stable storage before returning. A write landing while another
+// caller's barrier flush is in flight re-dirties its area and is covered
+// by the next flush, not that one.
 func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -356,6 +361,9 @@ func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
 	}
 	n := npages * v.pageSize
 	off := int64(addr.Page) * int64(v.pageSize)
+	if err := v.fillZeros(addr.Area, a, off); err != nil {
+		return err
+	}
 	if v.log != nil {
 		if err := v.log.beforeWrite(addr.Area, a, off, n, v.pageSize); err != nil {
 			return err
@@ -380,33 +388,30 @@ func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
 	return nil
 }
 
-// Grow extends area id's backing file to cover at least npages pages
-// without writing data (the extension is a sparse hole reading as zeros).
-func (v *Volume) Grow(id disk.AreaID, npages int) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.fault != nil {
-		return v.fault
-	}
-	if v.readOnly {
-		return ErrReadOnly
-	}
-	a, err := v.area(id)
-	if err != nil {
-		return err
-	}
-	if npages > a.npages {
-		npages = a.npages
-	}
-	want := int64(npages) * int64(v.pageSize)
-	if a.size >= want {
+// zeroBlock is the shared zero block disk.AppendZeros lends.
+var zeroBlock = disk.AppendZeros(nil, 1<<20)[0]
+
+// fillZeros writes zeros over [a.size, off), the gap a write starting at
+// off would leave as a sparse hole (see the package doc). It is logged
+// like any write, so a power cut rolls it back with the file's size.
+// v.mu held.
+func (v *Volume) fillZeros(id disk.AreaID, a *areaFile, off int64) error {
+	if off <= a.size {
 		return nil
 	}
-	if err := a.f.Truncate(want); err != nil {
-		return fmt.Errorf("filevol: grow area %d: %w", id, err)
+	if v.log != nil {
+		if err := v.log.beforeWrite(id, a, a.size, int(off-a.size), v.pageSize); err != nil {
+			return err
+		}
 	}
-	a.size = want
-	a.dirty = true
+	for p := a.size; p < off; {
+		z := zeroBlock[:min(off-p, int64(len(zeroBlock)))]
+		if _, err := a.f.WriteAt(z, p); err != nil {
+			return fmt.Errorf("filevol: zero-fill area %d at %d: %w", id, p, err)
+		}
+		p += int64(len(z))
+	}
+	a.size = off
 	return nil
 }
 

@@ -79,10 +79,11 @@ func TestReadWriteRoundTrip(t *testing.T) {
 // boundaries, bytes past what was written read as zeros, and a range past
 // the area's end is an error. The file backend lends its views from a
 // mapping made by the first View, so the test also views bytes written
-// after that, bytes of a grown area, and the same bytes after a reopen.
+// after that, a gap a write past the end filled with zeros, and the same
+// bytes after a reopen.
 func TestView(t *testing.T) {
 	dir := t.TempDir()
-	aa, bb, cc := page(0xAA), page(0xBB), page(0xCC)
+	aa, bb, cc, dd := page(0xAA), page(0xBB), page(0xCC), page(0xDD)
 	for _, v := range []disk.Volume{openTest(t, dir), disk.NewMemVolume(pageSize)} {
 		if _, err := v.AddArea(16); err != nil {
 			t.Fatalf("AddArea: %v", err)
@@ -102,11 +103,11 @@ func TestView(t *testing.T) {
 		}
 		wantView(t, v, disk.Addr{Page: 8}, 0, append(bb[:pageSize:pageSize], cc...))
 
-		// Grown past the written end: the hole reads as zeros.
-		if err := v.Grow(0, 12); err != nil {
-			t.Fatalf("Grow: %v", err)
+		// Written past the end: the gap below it reads as zeros.
+		if err := v.WriteRun(disk.Addr{Page: 12}, 1, dd); err != nil {
+			t.Fatalf("WriteRun: %v", err)
 		}
-		wantView(t, v, disk.Addr{Page: 9}, pageSize/2, append(cc[pageSize/2:pageSize:pageSize], make([]byte, 3*pageSize)...))
+		wantView(t, v, disk.Addr{Page: 9}, pageSize/2, append(append(cc[pageSize/2:pageSize:pageSize], make([]byte, 2*pageSize)...), dd...))
 		if err := v.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -116,7 +117,7 @@ func TestView(t *testing.T) {
 	if _, err := v.AddArea(16); err != nil {
 		t.Fatalf("reopen AddArea: %v", err)
 	}
-	wantView(t, v, disk.Addr{Page: 7}, 0, append(append(aa, bb...), cc...))
+	wantView(t, v, disk.Addr{Page: 7}, 0, bytes.Join([][]byte{aa, bb, cc, make([]byte, 2*pageSize), dd}, nil))
 	if err := v.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -231,6 +232,53 @@ func TestPowerCutDropsUnsyncedWrites(t *testing.T) {
 	}
 }
 
+// TestPowerCutRollsBackFill: a write past the file's end zero-fills the
+// gap below it, and a power cut at the next barrier rolls the fill back
+// with the write — the file's size and bytes are those of the last
+// completed barrier.
+func TestPowerCutRollsBackFill(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "area-0.lob")
+	v := openTest(t, dir, WithCrashLog())
+	if _, err := v.AddArea(32); err != nil {
+		t.Fatalf("AddArea: %v", err)
+	}
+	if err := v.WriteRun(disk.Addr{Page: 0}, 2, append(page(0x11), page(0x12)...)); err != nil {
+		t.Fatalf("WriteRun: %v", err)
+	}
+	if err := v.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read area file: %v", err)
+	}
+
+	// Page 9 starts past the end: pages 2-8 are filled, then written.
+	if err := v.WriteRun(disk.Addr{Page: 9}, 1, page(0x19)); err != nil {
+		t.Fatalf("WriteRun: %v", err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != 10*pageSize {
+		t.Fatalf("stat after the fill = %v, %v; want %d bytes", st, err, 10*pageSize)
+	}
+	if err := v.FailAtBarrier(1); err != nil {
+		t.Fatalf("FailAtBarrier: %v", err)
+	}
+	if err := v.Sync(); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("Sync = %v, want ErrPowerCut", err)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatalf("Close after power cut: %v", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read area file: %v", err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("after the cut the file holds %d bytes, want the %d of the last barrier", len(after), len(before))
+	}
+}
+
 func TestSyncAlwaysMakesBarrierIntervalDurable(t *testing.T) {
 	dir := t.TempDir()
 	v := openTest(t, dir, WithCrashLog(), WithPolicy(SyncAlways))
@@ -288,9 +336,6 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	if err := ro.WriteRun(disk.Addr{Area: 0, Page: 1}, 1, page(1)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("WriteRun = %v, want ErrReadOnly", err)
 	}
-	if err := ro.Grow(0, 8); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Grow = %v, want ErrReadOnly", err)
-	}
 	got := make([]byte, pageSize)
 	if err := ro.ReadRun(disk.Addr{Area: 0, Page: 0}, 1, got); err != nil {
 		t.Fatalf("ReadRun: %v", err)
@@ -303,29 +348,35 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	}
 }
 
-func TestGrowPreallocatesSparsely(t *testing.T) {
+// TestPastEndReadsZeros: bytes past the file's end hold nothing on disk
+// and read as zeros, through ReadRun and through View, also for a range
+// that straddles the end.
+func TestPastEndReadsZeros(t *testing.T) {
 	dir := t.TempDir()
 	v := openTest(t, dir)
 	if _, err := v.AddArea(16); err != nil {
 		t.Fatalf("AddArea: %v", err)
 	}
-	if err := v.Grow(0, 10); err != nil {
-		t.Fatalf("Grow: %v", err)
+	if err := v.WriteRun(disk.Addr{Page: 0}, 1, page(0x3C)); err != nil {
+		t.Fatalf("WriteRun: %v", err)
 	}
 	st, err := os.Stat(filepath.Join(dir, "area-0.lob"))
 	if err != nil {
 		t.Fatalf("stat: %v", err)
 	}
-	if st.Size() != 10*pageSize {
-		t.Fatalf("file size %d after Grow, want %d", st.Size(), 10*pageSize)
+	if st.Size() != pageSize {
+		t.Fatalf("file size %d, want %d", st.Size(), pageSize)
 	}
-	got := make([]byte, pageSize)
-	if err := v.ReadRun(disk.Addr{Area: 0, Page: 9}, 1, got); err != nil {
+	want := append(page(0x3C), make([]byte, 2*pageSize)...)
+	got := make([]byte, 3*pageSize)
+	if err := v.ReadRun(disk.Addr{Page: 0}, 3, got); err != nil {
 		t.Fatalf("ReadRun: %v", err)
 	}
-	if !bytes.Equal(got, page(0)) {
-		t.Fatalf("grown page not zero")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("ReadRun across the end read non-zero bytes past it")
 	}
+	wantView(t, v, disk.Addr{Page: 0}, pageSize/2, want[pageSize/2:])
+	wantView(t, v, disk.Addr{Page: 9}, 0, make([]byte, 2*pageSize))
 	if err := v.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -90,6 +90,12 @@ func awaitBarriers(t *testing.T, v *Volume, n int64) {
 	}
 }
 
+// viewErr returns the error of viewing the first page.
+func viewErr(v *Volume) error {
+	_, err := v.View(disk.Addr{Page: 0}, 0, pageSize, nil)
+	return err
+}
+
 func readPage(t *testing.T, v *Volume, p int) []byte {
 	t.Helper()
 	got := make([]byte, pageSize)
@@ -100,8 +106,9 @@ func readPage(t *testing.T, v *Volume, p int) []byte {
 }
 
 // TestFlushInFlightBlocksNobody: while one committer's device flush is
-// held open, another caller's read, write and grow all complete — the
-// volume mutex does not cover the flush.
+// held open, another caller's read, write and a write past the file's end
+// (which zero-fills the gap) all complete — the volume mutex does not
+// cover the flush.
 func TestFlushInFlightBlocksNobody(t *testing.T) {
 	gate := newFlushGate()
 	v := openTest(t, t.TempDir(),
@@ -130,9 +137,9 @@ func TestFlushInFlightBlocksNobody(t *testing.T) {
 			ops <- err
 			return
 		}
-		ops <- v.Grow(0, 32)
+		ops <- v.WriteRun(disk.Addr{Page: 32}, 1, page(0xC3))
 	}()
-	if err := await(t, "read/write/grow during a flush", ops); err != nil {
+	if err := await(t, "read/write/fill during a flush", ops); err != nil {
 		t.Fatalf("during the flush: %v", err)
 	}
 	select {
@@ -292,7 +299,7 @@ func TestFsyncFailureIsFailStop(t *testing.T) {
 		for name, err := range map[string]error{
 			"ReadRun":  v.ReadRun(disk.Addr{Page: 0}, 1, buf),
 			"WriteRun": v.WriteRun(disk.Addr{Page: 0}, 1, buf),
-			"Grow":     v.Grow(0, 32),
+			"View":     viewErr(v),
 			"Sync":     v.Sync(),
 			"SyncAll":  v.SyncAll(),
 		} {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lobstore/internal/core"
+	"lobstore/internal/disk"
 	"lobstore/internal/store"
 )
 
@@ -64,7 +65,7 @@ func warmMutations(tb testing.TB, newObj func(st *store.Store) (core.Object, err
 	if err != nil {
 		tb.Fatalf("open store: %v", err)
 	}
-	if err := st.Disk.Volume().Grow(st.LeafSegment(0, 1).Addr.Area, 8192); err != nil {
+	if err := st.Disk.Volume().(*disk.MemVolume).Grow(st.LeafSegment(0, 1).Addr.Area, 8192); err != nil {
 		tb.Fatalf("grow leaf area: %v", err)
 	}
 	obj, err := newObj(st)
