@@ -27,7 +27,8 @@ import (
 // Go allocations, GC cycles, heap size and simulated disk time, wall-clock
 // operation latency percentiles per experiment and per cell, plus
 // allocation micro-benchmarks of the I/O hot paths. CI regenerates it at
-// quick scale on every push and benchdiff gates on the p99 columns.
+// quick scale on every push as a record; TestSimMsMatchesBaseline holds
+// the committed copy's sim_ms columns exact.
 type benchReport struct {
 	Config      benchConfigInfo `json:"config"`
 	Prepass     *benchPhase     `json:"prepass,omitempty"`

@@ -11,8 +11,6 @@
 //	lobbench -exp table3 -csv out/     # also write CSV files
 //	lobbench -exp all -parallel 1      # force the fully sequential path
 //	lobbench -exp all -benchjson b.json -cpuprofile cpu.pprof
-//	lobbench -exp fig7 -timeseries ts.json     # per-cell latency trajectories
-//	lobbench -volbenchjson BENCH_volume.json   # backend micro-benchmarks only
 //
 // Experiments decompose into independent simulation cells that run on a
 // worker pool (-parallel, default GOMAXPROCS); tables are assembled
@@ -32,11 +30,9 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"lobstore"
 	"lobstore/internal/harness"
-	"lobstore/internal/sim"
 )
 
 func main() {
@@ -56,26 +52,12 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 		benchOut = flag.String("benchjson", "", "write per-experiment wall/alloc/simulated-time measurements to this JSON file")
 		conc     = flag.Bool("concurrent", false, "open each database through the concurrency engine (adds lock/epoch overhead: paper tables need it off)")
-		volOut   = flag.String("volbenchjson", "", "run the volume backend micro-benchmarks, write them to this JSON file, and exit")
-		tsOut    = flag.String("timeseries", "", "write per-cell flight-recorder windows (counters + latency percentiles over simulated time) to this JSON file")
-		tsWindow = flag.Duration("tswindow", 10*time.Second, "flight-recorder window width in simulated time (with -timeseries)")
 	)
 	flag.Parse()
 
 	if *expFlag == "list" {
 		for _, e := range harness.Experiments {
 			fmt.Printf("%-22s %s\n", e.Name, e.Desc)
-		}
-		return
-	}
-
-	if *volOut != "" {
-		rep, err := volumeBenchmarks(sim.DefaultModel().PageSize)
-		if err != nil {
-			fatalf("volume benchmarks: %v", err)
-		}
-		if err := writeVolBenchJSON(*volOut, rep); err != nil {
-			fatalf("writing volbenchjson: %v", err)
 		}
 		return
 	}
@@ -124,15 +106,12 @@ func main() {
 	if *verbose {
 		r.Log = os.Stderr
 	}
-	// Per-cell telemetry feeds the benchjson percentile columns and the
-	// timeseries artifact. It observes simulated time without advancing it,
-	// so the tables stay byte-identical (pinned by a harness test).
+	// Per-cell telemetry feeds the benchjson percentile columns. It
+	// observes simulated time without advancing it, so the tables stay
+	// byte-identical (pinned by a harness test).
 	var tel *harness.Telemetry
-	if *benchOut != "" || *tsOut != "" {
+	if *benchOut != "" {
 		tel = r.EnableTelemetry()
-		if *tsOut != "" {
-			tel.RecordTimeSeries(sim.Duration(tsWindow.Microseconds()), 512)
-		}
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -284,12 +263,6 @@ func main() {
 			report.Cells = append(report.Cells, bc)
 		}
 	}
-	if *tsOut != "" {
-		if err := writeTimeSeriesJSON(*tsOut, tel); err != nil {
-			fatalf("writing timeseries: %v", err)
-		}
-	}
-
 	if report != nil {
 		report.Micro = microBenchmarks()
 		report.TotalSimMs = tracker.simSince(0)

@@ -89,7 +89,6 @@ func main() {
 		dir       = flag.String("dir", "", "directory of the file-backed database (backend file)")
 		sync      = flag.String("sync", "commit", "file-backend fsync policy: always, commit or never")
 		groupMax  = flag.Int("group-commit", 0, "file-backend group commit: max barriers per device flush (<= 1 = groups of one)")
-		groupWait = flag.Duration("group-delay", 0, "file-backend group commit: max wait for a batch to fill")
 		conc      = flag.Bool("concurrent", false, "open the database through the concurrency engine (thread-safe handles, snapshot reads)")
 		bufPages  = flag.Int("buffer-pages", 0, "buffer pool size in pages (0 = paper default; -concurrent needs a larger pool and picks one)")
 	)
@@ -97,7 +96,7 @@ func main() {
 
 	cfg := lobstore.DefaultConfig()
 	cfg.Backend, cfg.Dir, cfg.SyncPolicy = *backend, *dir, *sync
-	cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: *groupMax, MaxDelay: *groupWait}
+	cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: *groupMax}
 	cfg.Concurrent = *conc
 	switch {
 	case *bufPages > 0:

@@ -18,7 +18,6 @@
 //	-dir           file-backend directory
 //	-sync          file-backend fsync policy: always, commit, never
 //	-group-commit  max barriers per device flush (default 16)
-//	-group-delay   max wait for a group-commit batch to fill
 //	-buffer-pages  buffer pool size in pages (default 256; 0 = concurrent minimum)
 //	-workers       executor goroutines per connection (0 = default 4)
 //	-chunk         streaming-read frame payload bytes (0 = 64KiB)

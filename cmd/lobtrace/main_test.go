@@ -178,78 +178,6 @@ func TestDiffHandlesOneSidedOpLatency(t *testing.T) {
 	}
 }
 
-func TestTimelineSingleTrace(t *testing.T) {
-	dir := t.TempDir()
-	// Three spans across two 1ms windows, with an idle window between them.
-	path := writeSyntheticTrace(t, dir, "tl.jsonl", []obs.Event{
-		{Time: 100, Kind: obs.KindSpanEnd, Op: obs.OpRead, Aux1: 1500},
-		{Time: 900, Kind: obs.KindSpanEnd, Op: obs.OpRead, Aux1: 2500},
-		{Time: 2500, Kind: obs.KindSpanEnd, Op: obs.OpInsert, Aux1: 400},
-	})
-	out := captureStdout(t, func() {
-		if err := timeline([]string{"-window", "1ms", path}); err != nil {
-			t.Error(err)
-		}
-	})
-	if !bytes.Contains(out, []byte("2 windows")) {
-		t.Errorf("timeline did not seal two windows:\n%s", out)
-	}
-	// Window 0 holds the two read spans; its p50 is the smaller one.
-	if !bytes.Contains(out, []byte("1500")) || !bytes.Contains(out, []byte("400")) {
-		t.Errorf("timeline missing per-window percentiles:\n%s", out)
-	}
-	if err := timeline([]string{}); err == nil {
-		t.Error("timeline with no files did not error")
-	}
-	if err := timeline([]string{filepath.Join(dir, "missing.jsonl")}); err == nil {
-		t.Error("timeline of missing file did not error")
-	}
-}
-
-func TestTimelineDiffAlignsWindows(t *testing.T) {
-	dir := t.TempDir()
-	a := writeSyntheticTrace(t, dir, "a.jsonl", []obs.Event{
-		{Time: 100, Kind: obs.KindSpanEnd, Op: obs.OpRead, Aux1: 1000},
-		{Time: 2100, Kind: obs.KindSpanEnd, Op: obs.OpRead, Aux1: 3000},
-	})
-	// b is active only in window 0: windows 2 of the diff must be one-sided.
-	b := writeSyntheticTrace(t, dir, "b.jsonl", []obs.Event{
-		{Time: 200, Kind: obs.KindSpanEnd, Op: obs.OpRead, Aux1: 2000},
-	})
-	out := captureStdout(t, func() {
-		if err := timeline([]string{"-window", "1ms", a, b}); err != nil {
-			t.Error(err)
-		}
-	})
-	if !bytes.Contains(out, []byte("1000")) || !bytes.Contains(out, []byte("2000")) {
-		t.Errorf("timeline diff missing aligned window 0:\n%s", out)
-	}
-	if !bytes.Contains(out, []byte("3000")) || !bytes.Contains(out, []byte("-")) {
-		t.Errorf("timeline diff missing one-sided window 2:\n%s", out)
-	}
-}
-
-func TestAlignWindows(t *testing.T) {
-	a := []obs.WindowStats{{Index: 0}, {Index: 2}, {Index: 3}}
-	b := []obs.WindowStats{{Index: 1}, {Index: 2}}
-	pairs := alignWindows(a, b)
-	wantIdx := []int64{0, 1, 2, 3}
-	if len(pairs) != len(wantIdx) {
-		t.Fatalf("got %d pairs, want %d", len(pairs), len(wantIdx))
-	}
-	for i, p := range pairs {
-		if windowIndex(p[0], p[1]) != wantIdx[i] {
-			t.Fatalf("pair %d has index %d, want %d", i, windowIndex(p[0], p[1]), wantIdx[i])
-		}
-	}
-	if pairs[0][1] != nil || pairs[1][0] != nil || pairs[3][1] != nil {
-		t.Fatal("one-sided windows not nil on the absent side")
-	}
-	if pairs[2][0] == nil || pairs[2][1] == nil {
-		t.Fatal("shared window 2 not paired")
-	}
-}
-
 func TestUnionMerges(t *testing.T) {
 	got := union([]string{"a", "c", "d"}, []string{"b", "c", "e"})
 	want := []string{"a", "b", "c", "d", "e"}

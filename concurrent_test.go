@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"lobstore"
 )
@@ -379,61 +378,4 @@ func recordClient(db *lobstore.DB, n int) error {
 		}
 	}
 	return nil
-}
-
-// TestGroupCommitBatchingUnderConcurrency proves the sync interposer does
-// its one job: committers parked at durability barriers pile into the
-// file volume's group-commit batches, so with K concurrent writers the
-// mean acknowledged batch exceeds one. Single-threaded group commit can
-// never batch (each barrier flushes alone); only the engine's release of
-// the store mutex across the device flush makes company possible.
-func TestGroupCommitBatchingUnderConcurrency(t *testing.T) {
-	const writers = 8
-	cfg := fileConfig(t.TempDir())
-	cfg.Concurrent = true
-	cfg.BufferPages = lobstore.MinConcurrentBufferPages
-	cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: writers, MaxDelay: 2 * time.Millisecond}
-	db, err := lobstore.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	m := db.EnableMetrics(nil)
-
-	objs := make([]lobstore.Object, writers)
-	for i := range objs {
-		obj, err := db.Create(fmt.Sprintf("w%d", i), lobstore.ObjectSpec{Engine: "esm", LeafPages: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs[i] = obj
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for i, obj := range objs {
-		wg.Add(1)
-		go func(i int, obj lobstore.Object) {
-			defer wg.Done()
-			data := bytes.Repeat([]byte{byte('a' + i)}, 4096)
-			for k := 0; k < 10; k++ {
-				if err := obj.Append(data); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(i, obj)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	if n := m.GroupBatch.N; n == 0 {
-		t.Fatal("no group-commit flushes recorded")
-	}
-	if mean := m.GroupBatch.Mean(); mean <= 1 {
-		t.Fatalf("group-commit mean batch %.2f with %d concurrent committers, want > 1", mean, writers)
-	}
 }

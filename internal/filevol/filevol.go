@@ -47,7 +47,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"lobstore/internal/disk"
 )
@@ -175,15 +174,6 @@ func WithCrashLog() Option {
 // failing one injects an fsync error.
 func WithFlushHook(fn func() error) Option {
 	return func(v *Volume) { v.flushHook = fn }
-}
-
-// WithSyncDelay injects artificial latency into every flush. Testing aid:
-// it widens the window in which concurrent barriers pile into one group.
-func WithSyncDelay(d time.Duration) Option {
-	return WithFlushHook(func() error {
-		time.Sleep(d)
-		return nil
-	})
 }
 
 // ReadOnly opens the area files read-only and fails every write. Used by

@@ -1,25 +1,21 @@
 package filevol
 
-import (
-	"os"
-	"time"
-)
+import "os"
 
 // This file is the volume's commit pipeline: every Sync is join → seal →
 // flush → ack.
 //
-// Under policy "commit" every §3.3 barrier is one device flush, and
-// BENCH_volume.json shows that flush dwarfs the pwrite it covers (~166 µs
-// vs ~2 µs per 4-page run). The volume mutex therefore covers bookkeeping
+// Under policy "commit" every §3.3 barrier is one device flush, and that
+// flush dwarfs the pwrite it covers (lobmark's filevol.fdatasync_p50_us
+// against filevol.pwrite_4k_ns). The volume mutex therefore covers bookkeeping
 // and pread/pwrite only; the flush runs with it dropped, one flush at a
 // time (the "turn"), and barriers combine behind the flush in flight:
 //
 //	join   a barrier joins the forming commit group, opening one — and
 //	       becoming its leader — if there is none. The member that brings
 //	       the group to its cap seals it; later arrivals open the next.
-//	seal   the leader (after holding the group open for up to MaxDelay)
-//	       waits for the turn, closes the group to new members, snapshots
-//	       and clears the dirty-area set, and drops the mutex.
+//	seal   the leader waits for the turn, closes the group to new members,
+//	       snapshots and clears the dirty-area set, and drops the mutex.
 //	flush  fdatasync the snapshotted files — while other callers read,
 //	       write, grow and join the next group.
 //	ack    the leader retakes the mutex, publishes the outcome, passes the
@@ -53,13 +49,10 @@ import (
 type GroupCommit struct {
 	// MaxBatch is the largest number of concurrent Sync calls one device
 	// flush may acknowledge. Values <= 1 disable batching: every barrier
-	// is a group of one and flushes for itself.
+	// is a group of one and flushes for itself. Nothing waits for
+	// company: a group is whoever arrived while the previous flush was in
+	// flight, so batching needs real contention.
 	MaxBatch int
-	// MaxDelay is how long a leader holds its group open for followers
-	// before asking for the flush turn, unless the group fills first. Zero
-	// adds no latency: the group is whoever arrived while the previous
-	// flush was in flight — batching only under genuine contention.
-	MaxDelay time.Duration
 }
 
 // WithGroupCommit lets up to g.MaxBatch concurrent commit-policy barriers
@@ -72,7 +65,6 @@ func WithGroupCommit(g GroupCommit) Option {
 type commitGroup struct {
 	members int
 	doomed  bool          // an armed power cut landed on a member
-	full    chan struct{} // closed when members reaches the cap
 	done    chan struct{} // closed by the leader after the shared flush
 	err     error         // the shared outcome; set before done closes
 }
@@ -99,9 +91,6 @@ func (v *Volume) Sync() error {
 		<-g.done
 		return g.err
 	}
-	if v.gc.MaxDelay > 0 {
-		g.awaitFull(v.gc.MaxDelay)
-	}
 	files, err := v.seal(g)
 	if err == nil {
 		n := 0
@@ -116,22 +105,6 @@ func (v *Volume) Sync() error {
 	return err
 }
 
-// awaitFull holds the group open for followers: until it fills or d has
-// passed. A group born full (a cap of one) costs no timer.
-func (g *commitGroup) awaitFull(d time.Duration) {
-	select {
-	case <-g.full:
-		return
-	default:
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-g.full:
-	case <-t.C:
-	}
-}
-
 // join counts one arriving barrier into the forming group, opening one if
 // there is none; the opener leads it.
 func (v *Volume) join() (g *commitGroup, leader bool, err error) {
@@ -143,7 +116,7 @@ func (v *Volume) join() (g *commitGroup, leader bool, err error) {
 	v.stats.Barriers++
 	g = v.cur
 	if g == nil {
-		g = &commitGroup{full: make(chan struct{}), done: make(chan struct{})}
+		g = &commitGroup{done: make(chan struct{})}
 		v.cur = g
 		leader = true
 	}
@@ -152,7 +125,6 @@ func (v *Volume) join() (g *commitGroup, leader bool, err error) {
 	// Only commit-policy barriers have a flush to share.
 	if v.policy != SyncCommit || g.members >= v.gc.MaxBatch {
 		v.cur = nil // later barriers form the next group
-		close(g.full)
 	}
 	return g, leader, nil
 }

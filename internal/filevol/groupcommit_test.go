@@ -11,51 +11,49 @@ import (
 	"lobstore/internal/disk"
 )
 
-// TestGroupCommitBatches pins the leader/follower mechanics: with a batch
-// of 4 and a generous delay, 4 concurrent barriers must be acknowledged by
-// exactly one flush pass.
+// TestGroupCommitBatches pins the leader/follower mechanics and the cap:
+// six barriers arrive behind a held flush under a cap of 4. The member that
+// brings the first group to 4 closes it, the next two form a second group,
+// and each group is acknowledged by one flush.
 func TestGroupCommitBatches(t *testing.T) {
+	const behind = 6
+	gate := newFlushGate()
 	v := openTest(t, t.TempDir(),
 		WithPolicy(SyncCommit),
-		WithGroupCommit(GroupCommit{MaxBatch: 4, MaxDelay: 5 * time.Second}))
+		WithGroupCommit(GroupCommit{MaxBatch: 4}), WithFlushHook(gate.hook))
 	defer v.Close()
 	if _, err := v.AddArea(64); err != nil {
 		t.Fatalf("AddArea: %v", err)
 	}
 
-	const callers = 4
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := v.WriteRun(disk.Addr{Page: disk.PageID(i)}, 1, page(byte(i))); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = v.Sync()
-		}(i)
+	gate.armed.Store(true)
+	first := writeSync(v, 0, 0x01)
+	gate.awaitFlush(t)
+	var done [behind]<-chan error
+	for i := range done {
+		done[i] = writeSync(v, 1+i, byte(0x10+i))
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
+	awaitBarriers(t, v, 1+behind)
+
+	gate.release <- nil
+	if err := await(t, "first barrier", first); err != nil {
+		t.Fatalf("first Sync: %v", err)
+	}
+	for i, d := range done {
+		if err := await(t, "grouped barrier", d); err != nil {
 			t.Fatalf("caller %d: %v", i, err)
 		}
 	}
 
-	s := v.SyncStats()
-	if s.Barriers != callers {
-		t.Fatalf("Barriers = %d, want %d", s.Barriers, callers)
+	// Every write behind the held flush landed before either group sealed,
+	// so the first group to flush covers the one dirty area and the other
+	// finds nothing left to fsync.
+	want := disk.SyncStats{Barriers: 1 + behind, Batches: 3, Fsyncs: 2, MaxBatch: 4}
+	if s := v.SyncStats(); s != want {
+		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
-	if s.Batches != 1 {
-		t.Fatalf("Batches = %d, want 1 (one shared flush)", s.Batches)
-	}
-	if s.MaxBatch != callers {
-		t.Fatalf("MaxBatch = %d, want %d", s.MaxBatch, callers)
-	}
-	if s.Fsyncs != 1 {
-		t.Fatalf("Fsyncs = %d, want 1 (one dirty area)", s.Fsyncs)
+	if n := gate.calls.Load(); n != 3 {
+		t.Fatalf("%d flushes ran, want 3 (the held one and one per group)", n)
 	}
 }
 
@@ -65,6 +63,9 @@ func TestGroupCommitBatches(t *testing.T) {
 // commit-policy barrier is covered by some batch, and no barrier returns
 // before its flush. The "default" leg opens the volume with no group-commit
 // option: the same pipeline at groups of one, safe for the same callers.
+// Under policy commit the "batch-8" leg holds the first flush open until
+// every worker's first barrier has joined behind it, so full groups are
+// forced rather than left to the scheduler.
 func TestGroupCommitHammer(t *testing.T) {
 	const maxBatch = 8
 	legs := []struct {
@@ -72,7 +73,7 @@ func TestGroupCommitHammer(t *testing.T) {
 		opts []Option
 		cap  int64
 	}{
-		{"batch-8", []Option{WithGroupCommit(GroupCommit{MaxBatch: maxBatch, MaxDelay: time.Millisecond})}, maxBatch},
+		{"batch-8", []Option{WithGroupCommit(GroupCommit{MaxBatch: maxBatch})}, maxBatch},
 		{"default", nil, 1},
 	}
 	for _, pol := range []Policy{SyncAlways, SyncCommit, SyncNever} {
@@ -82,7 +83,13 @@ func TestGroupCommitHammer(t *testing.T) {
 				leg := leg
 				t.Run(leg.name, func(t *testing.T) {
 					t.Parallel()
-					opts := append([]Option{WithPolicy(pol), WithSyncDelay(200 * time.Microsecond)}, leg.opts...)
+					gate := newFlushGate()
+					delayed := func() error {
+						err := gate.hook()
+						time.Sleep(200 * time.Microsecond)
+						return err
+					}
+					opts := append([]Option{WithPolicy(pol), WithFlushHook(delayed)}, leg.opts...)
 					v := openTest(t, t.TempDir(), opts...)
 					defer v.Close()
 					if _, err := v.AddArea(256); err != nil {
@@ -93,6 +100,8 @@ func TestGroupCommitHammer(t *testing.T) {
 						workers = 16
 						rounds  = 25
 					)
+					hold := pol == SyncCommit && leg.cap > 1
+					gate.armed.Store(hold)
 					var wg sync.WaitGroup
 					errCh := make(chan error, workers)
 					for w := 0; w < workers; w++ {
@@ -113,6 +122,11 @@ func TestGroupCommitHammer(t *testing.T) {
 								}
 							}
 						}(w)
+					}
+					if hold {
+						gate.awaitFlush(t)
+						awaitBarriers(t, v, workers)
+						gate.release <- nil
 					}
 					wg.Wait()
 					close(errCh)
@@ -138,8 +152,9 @@ func TestGroupCommitHammer(t *testing.T) {
 						if s.Batches == 0 || s.Batches > s.Barriers {
 							t.Fatalf("Batches = %d out of range (1..%d)", s.Batches, s.Barriers)
 						}
-						if s.MaxBatch < 1 || s.MaxBatch > leg.cap {
-							t.Fatalf("MaxBatch = %d, want 1..%d", s.MaxBatch, leg.cap)
+						// The 15 barriers behind the held flush fill a group.
+						if s.MaxBatch != leg.cap {
+							t.Fatalf("MaxBatch = %d, want the cap %d", s.MaxBatch, leg.cap)
 						}
 					}
 				})
@@ -151,13 +166,15 @@ func TestGroupCommitHammer(t *testing.T) {
 // TestGroupCommitDoomedGroup pins the crash semantics: a power cut armed
 // to land inside a commit group dooms every member — none is acknowledged,
 // all see ErrPowerCut — and the files roll back to the last acknowledged
-// barrier exactly.
+// barrier exactly. The group forms behind a held flush, so all three
+// members are in it when its leader seals.
 func TestGroupCommitDoomedGroup(t *testing.T) {
 	dir := t.TempDir()
+	gate := newFlushGate()
 	v := openTest(t, dir,
 		WithPolicy(SyncCommit),
 		WithCrashLog(),
-		WithGroupCommit(GroupCommit{MaxBatch: 3, MaxDelay: 5 * time.Second}))
+		WithGroupCommit(GroupCommit{MaxBatch: 3}), WithFlushHook(gate.hook))
 	if _, err := v.AddArea(64); err != nil {
 		t.Fatalf("AddArea: %v", err)
 	}
@@ -171,29 +188,30 @@ func TestGroupCommitDoomedGroup(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 
-	// The cut lands on the next barrier — i.e. inside the next group,
-	// between its members' data writes and their shared fsync.
+	// Barrier 2 writes nothing; its flush is held open while the group
+	// forms. The cut lands on the barrier after it — the group's first
+	// member — i.e. between the members' data writes and their shared
+	// fsync.
+	gate.armed.Store(true)
+	held := make(chan error, 1)
+	go func() { held <- v.Sync() }()
+	gate.awaitFlush(t)
 	if err := v.FailAtBarrier(1); err != nil {
 		t.Fatalf("FailAtBarrier: %v", err)
 	}
 
 	const members = 3
-	var wg sync.WaitGroup
-	errs := make([]error, members)
-	for i := 0; i < members; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := v.WriteRun(disk.Addr{Page: disk.PageID(1 + i)}, 1, page(0xEE)); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = v.Sync()
-		}(i)
+	var done [members]<-chan error
+	for i := range done {
+		done[i] = writeSync(v, 1+i, 0xEE)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, ErrPowerCut) {
+	awaitBarriers(t, v, 2+members)
+	gate.release <- nil
+	if err := await(t, "held barrier", held); err != nil {
+		t.Fatalf("held Sync: %v", err)
+	}
+	for i, d := range done {
+		if err := await(t, "doomed member", d); !errors.Is(err, ErrPowerCut) {
 			t.Fatalf("member %d acknowledged across a power cut: err = %v", i, err)
 		}
 	}

@@ -161,8 +161,8 @@ func TestFlushInFlightBlocksNobody(t *testing.T) {
 	}
 }
 
-// TestGroupFormsBehindFlush: at MaxDelay 0, K barriers arriving while a
-// flush is in flight are all acknowledged by ONE second flush.
+// TestGroupFormsBehindFlush: K barriers arriving while a flush is in
+// flight are all acknowledged by ONE second flush.
 func TestGroupFormsBehindFlush(t *testing.T) {
 	const k = 5
 	gate := newFlushGate()
@@ -424,8 +424,8 @@ func TestLateTracerSeesOnlyLaterFlushes(t *testing.T) {
 	}
 }
 
-// TestBarrierHammerExactlyOnce runs many committers through a small cap at
-// MaxDelay 0 — groups form only behind flushes in flight — and checks every
+// TestBarrierHammerExactlyOnce runs many committers through a small cap —
+// groups form only behind flushes in flight — and checks every
 // barrier was acknowledged exactly once by a flush that covers it.
 func TestBarrierHammerExactlyOnce(t *testing.T) {
 	const (

@@ -107,9 +107,6 @@ func (r *Runner) cell(c Cell) (any, error) {
 		start := obs.WallNow()
 		v, err := c.Run(&derived)
 		ct.setWall(obs.WallNow() - start)
-		if ct.Series != nil {
-			_ = ct.Series.Close()
-		}
 		return v, err
 	})
 }
@@ -125,7 +122,7 @@ func (r *Runner) logf(format string, args ...any) {
 
 // open creates a database and runs the Observe hook, so attached sinks see
 // every database an experiment touches. With telemetry enabled the running
-// cell's metrics registry (and flight recorder, if any) are attached too.
+// cell's metrics registry is attached too.
 func (r *Runner) open(cfg lobstore.Config) (*lobstore.DB, error) {
 	db, err := lobstore.Open(cfg)
 	if err != nil {
@@ -136,9 +133,6 @@ func (r *Runner) open(cfg lobstore.Config) (*lobstore.DB, error) {
 	}
 	if r.cellTel != nil {
 		db.EnableMetrics(r.cellTel.Metrics)
-		if r.cellTel.Series != nil {
-			db.AttachTimeSeries(r.cellTel.Series)
-		}
 	}
 	return db, nil
 }

@@ -5,31 +5,27 @@ import (
 	"sync"
 
 	"lobstore/internal/obs"
-	"lobstore/internal/sim"
 )
 
 // Telemetry collects per-cell wall-clock and latency telemetry. When enabled
 // (Runner.EnableTelemetry) every cell runs with its own obs.Metrics registry
-// — and optionally its own flight recorder — attached to every database it
-// opens, plus a wall-clock timing of the whole cell via obs.WallNow.
+// attached to every database it opens, plus a wall-clock timing of the whole
+// cell via obs.WallNow.
 //
 // Telemetry only observes: sinks see simulated time but never advance it,
 // and the wall clock feeds nothing back into the simulation, so enabling it
 // leaves every experiment table byte-identical (pinned by a harness test).
 type Telemetry struct {
-	mu         sync.Mutex
-	windowUs   int64
-	maxWindows int
-	cells      map[string]*CellTelemetry
+	mu    sync.Mutex
+	cells map[string]*CellTelemetry
 }
 
 // CellTelemetry is one cell's telemetry: a private metrics registry (per-op
-// simulated and wall-clock latency HDRs among them), an optional flight
-// recorder and the wall-clock time the cell took to compute.
+// simulated and wall-clock latency HDRs among them) and the wall-clock time
+// the cell took to compute.
 type CellTelemetry struct {
 	Key     string
 	Metrics *obs.Metrics
-	Series  *obs.TimeSeries // nil unless RecordTimeSeries was called
 
 	mu     sync.Mutex
 	wallUs int64
@@ -62,16 +58,6 @@ func (r *Runner) EnableTelemetry() *Telemetry {
 	return r.tel
 }
 
-// RecordTimeSeries additionally attaches a flight recorder to every
-// subsequent cell: windows of the given simulated width, keeping at most
-// maxWindows sealed windows per cell.
-func (t *Telemetry) RecordTimeSeries(window sim.Duration, maxWindows int) {
-	t.mu.Lock()
-	t.windowUs = int64(window)
-	t.maxWindows = maxWindows
-	t.mu.Unlock()
-}
-
 // cellTelemetry returns (creating on first use) the telemetry slot for key.
 func (t *Telemetry) cellTelemetry(key string) *CellTelemetry {
 	t.mu.Lock()
@@ -79,9 +65,6 @@ func (t *Telemetry) cellTelemetry(key string) *CellTelemetry {
 	ct, ok := t.cells[key]
 	if !ok {
 		ct = &CellTelemetry{Key: key, Metrics: obs.NewMetrics()}
-		if t.windowUs > 0 {
-			ct.Series = obs.NewTimeSeries(t.windowUs, t.maxWindows)
-		}
 		t.cells[key] = ct
 	}
 	return ct

@@ -3,19 +3,16 @@ package harness
 import (
 	"bytes"
 	"testing"
-
-	"lobstore/internal/sim"
 )
 
 // renderCSVWithTelemetry runs the named experiments and renders their tables,
-// optionally with per-cell telemetry (and flight recorders) enabled.
+// optionally with per-cell telemetry enabled.
 func renderCSVWithTelemetry(t *testing.T, names []string, telemetry bool) (string, *Telemetry) {
 	t.Helper()
 	r := NewRunner(QuickConfig())
 	var tel *Telemetry
 	if telemetry {
 		tel = r.EnableTelemetry()
-		tel.RecordTimeSeries(10*sim.Second, 64)
 	}
 	var b bytes.Buffer
 	err := r.RunAll(names, 2, func(e Experiment, tabs []*Table) error {
@@ -34,7 +31,7 @@ func renderCSVWithTelemetry(t *testing.T, names []string, telemetry bool) (strin
 
 // TestTelemetryKeepsTablesByteIdentical pins the telemetry contract: sinks
 // observe simulated time but never advance it, so enabling per-cell metrics
-// and flight recorders must leave every paper table byte-identical.
+// must leave every paper table byte-identical.
 func TestTelemetryKeepsTablesByteIdentical(t *testing.T) {
 	names := []string{"ablation-poolrun"}
 	plain, _ := renderCSVWithTelemetry(t, names, false)
@@ -56,9 +53,6 @@ func TestTelemetryKeepsTablesByteIdentical(t *testing.T) {
 		}
 		if ct.Metrics.Counter("io.read.calls")+ct.Metrics.Counter("io.write.calls") == 0 {
 			t.Errorf("cell %s recorded no I/O", ct.Key)
-		}
-		if ct.Series == nil || len(ct.Series.Windows()) == 0 {
-			t.Errorf("cell %s has no flight-recorder windows", ct.Key)
 		}
 		if ct.MergedWall().N() == 0 {
 			t.Errorf("cell %s has no wall-clock latency samples", ct.Key)

@@ -14,13 +14,11 @@
 //
 // Sinks:
 //
-//   - Ring       — fixed-capacity in-memory ring buffer (debugging, tests)
-//   - JSONL      — one JSON object per event on an io.Writer (lobtrace)
-//   - Metrics    — aggregating registry of counters, fixed-bucket
+//   - Ring    — fixed-capacity in-memory ring buffer (debugging, tests)
+//   - JSONL   — one JSON object per event on an io.Writer (lobtrace)
+//   - Metrics — aggregating registry of counters, fixed-bucket
 //     histograms and per-op HDR latency percentiles (simulated and
 //     wall-clock µs), exportable as text, CSV, JSON and Prometheus text
-//   - TimeSeries — flight recorder sealing periodic windows of counters
-//     and latency percentiles over simulated time
 //
 // When no sink is attached the tracer is disabled: every instrumentation
 // site is guarded by Enabled(), which is a nil-safe boolean check, and the
@@ -174,7 +172,7 @@ func ParseKind(s string) (Kind, bool) {
 //	                  duration in wall-clock µs; Err if failed
 //
 // Wall is populated only on span.end and only by live sinks' consumers
-// (Metrics, TimeSeries); the JSONL sink deliberately omits it so traces of
+// (Metrics); the JSONL sink deliberately omits it so traces of
 // identical runs stay byte-identical regardless of host speed.
 type Event struct {
 	Time  int64 // simulated clock, microseconds

@@ -18,7 +18,7 @@ import (
 // element-wise, which makes it exactly associative and commutative — merging
 // per-cell histograms in any order yields identical quantiles.
 //
-// HDR is not goroutine-safe; owners (Metrics, TimeSeries) serialize access.
+// HDR is not goroutine-safe; owners (Metrics, SyncHDR) serialize access.
 type HDR struct {
 	counts []int64
 	n      int64

@@ -11,7 +11,7 @@ import (
 // jsonEvent is the wire form of an Event: short keys, zero fields omitted.
 // Event.Wall is intentionally absent: trace files must be a pure function
 // of the seed (byte-identical across runs), so wall-clock durations live
-// only in live sinks (Metrics, TimeSeries).
+// only in live sinks (Metrics).
 type jsonEvent struct {
 	T    int64  `json:"t"`
 	K    string `json:"k"`

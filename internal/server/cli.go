@@ -28,15 +28,14 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr      = fs.String("addr", "127.0.0.1:7431", "TCP listen address")
-		backend   = fs.String("backend", "mem", "byte-storage backend: mem or file")
-		dir       = fs.String("dir", "", "directory of the file-backed database (backend file)")
-		sync      = fs.String("sync", "commit", "file-backend fsync policy: always, commit or never")
-		groupMax  = fs.Int("group-commit", 16, "file-backend group commit: max barriers per device flush (<= 1 = groups of one)")
-		groupWait = fs.Duration("group-delay", 0, "file-backend group commit: max wait for a batch to fill")
-		bufPages  = fs.Int("buffer-pages", 256, "buffer pool size in pages (0 = concurrent minimum)")
-		workers   = fs.Int("workers", 0, "request-executing goroutines per connection (0 = default)")
-		chunk     = fs.Int("chunk", 0, "streaming-read frame payload bytes (0 = default 64KiB)")
+		addr     = fs.String("addr", "127.0.0.1:7431", "TCP listen address")
+		backend  = fs.String("backend", "mem", "byte-storage backend: mem or file")
+		dir      = fs.String("dir", "", "directory of the file-backed database (backend file)")
+		sync     = fs.String("sync", "commit", "file-backend fsync policy: always, commit or never")
+		groupMax = fs.Int("group-commit", 16, "file-backend group commit: max barriers per device flush (<= 1 = groups of one)")
+		bufPages = fs.Int("buffer-pages", 256, "buffer pool size in pages (0 = concurrent minimum)")
+		workers  = fs.Int("workers", 0, "request-executing goroutines per connection (0 = default)")
+		chunk    = fs.Int("chunk", 0, "streaming-read frame payload bytes (0 = default 64KiB)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -44,7 +43,7 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 
 	cfg := lobstore.DefaultConfig()
 	cfg.Backend, cfg.Dir, cfg.SyncPolicy = *backend, *dir, *sync
-	cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: *groupMax, MaxDelay: *groupWait}
+	cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: *groupMax}
 	// The server requires the concurrency engine; the pool floor is the
 	// engine's documented minimum unless the user asks for more.
 	cfg.Concurrent = true

@@ -27,7 +27,7 @@ func TestServeKillReopen(t *testing.T) {
 		os.Exit(RunServe("lobserve", []string{
 			"-addr", "127.0.0.1:0",
 			"-backend", "file", "-dir", dir,
-			"-group-commit", "4", "-group-delay", "2ms",
+			"-group-commit", "4",
 		}, os.Stderr))
 	}
 	if testing.Short() {

@@ -148,14 +148,11 @@ type Config struct {
 type GroupCommit struct {
 	// MaxBatch is the largest number of concurrent commit barriers one
 	// device flush may acknowledge. Values <= 1 leave batching off: every
-	// barrier is a batch of one.
+	// barrier is a batch of one. Nothing waits for company: device
+	// flushes run one at a time outside the volume's lock, so a batch is
+	// whoever arrived while the previous flush was in flight — batching
+	// emerges from contention alone.
 	MaxBatch int
-	// MaxDelay is how long the first barrier of a batch holds it open for
-	// company, unless it fills first, before queueing for the device. Zero
-	// adds no wait: device flushes run one at a time outside the volume's
-	// lock, so a batch is whoever arrived while the previous flush was in
-	// flight — batching emerges from contention alone.
-	MaxDelay time.Duration
 }
 
 // DefaultConfig returns the paper's fixed system parameters with database
@@ -560,27 +557,6 @@ func (db *DB) EnableMetrics(m *Metrics) *Metrics {
 // so reading it while operations are in flight is safe in concurrent
 // mode; in off mode the database is single-threaded by contract.
 func (db *DB) Metrics() *Metrics { return db.metrics }
-
-// TimeSeries is a flight-recorder event sink: it seals periodic windows of
-// simulated time into counter and latency-percentile snapshots, keeping a
-// bounded ring of the most recent windows. Obtain one with NewTimeSeries and
-// attach it with AttachTimeSeries.
-type TimeSeries = obs.TimeSeries
-
-// NewTimeSeries returns a flight recorder with the given window width in
-// simulated time, keeping at most maxWindows sealed windows.
-func NewTimeSeries(window time.Duration, maxWindows int) *TimeSeries {
-	return obs.NewTimeSeries(window.Microseconds(), maxWindows)
-}
-
-// AttachTimeSeries attaches a flight recorder. Like every sink it observes
-// simulated time without advancing it, so recording cannot perturb the
-// database's behavior. A recorder must not be shared across databases —
-// each database has its own simulated clock, and interleaving unrelated
-// clocks would corrupt the window sequence.
-func (db *DB) AttachTimeSeries(ts *TimeSeries) {
-	db.st.Obs.Attach(ts)
-}
 
 // LeafFragmentation snapshots the free-list state of the data area's buddy
 // allocator. It inspects only the cached directory — no I/O is charged.
