@@ -318,9 +318,9 @@ func (r FsckReport) Clean() bool { return len(r.Leaked) == 0 && len(r.DoublyOwne
 // Fsck checks a file-backed database directory read-only: it loads the
 // on-disk space directories as written, walks every object reachable from
 // the catalog, and cross-checks the two views; the report also lists what
-// the walk found (lobstat prints it). Nothing is modified — the area files
-// are opened read-only — so it is safe on a directory whose owning process
-// crashed.
+// the walk found (`lobctl fsck -v` prints it). Nothing is modified — the
+// area files are opened read-only — so it is safe on a directory whose
+// owning process crashed.
 func Fsck(dir string) (_ *FsckReport, err error) {
 	cfg, err := readSuper(dir)
 	if err != nil {

@@ -17,13 +17,14 @@ import (
 //     epoch → latch → pool → volume. The server's connection-layer lock
 //     ("connmu") sits above everything — it must never be held across an
 //     engine call; the three engine levels rank by exact variable name
-//     ("objmu", "storemu", "epochmu"); below them, "latch" names,
-//     buffer-package/"pool" names, and disk/filevol-package/"vol" names
-//     rank as before. Acquiring a lower-ranked lock while holding a
-//     higher-ranked one is an inversion;
+//     ("objmu", "storemu", "epochmu"), and so does the latch class, the
+//     volume decorator's "volmu"; below them, buffer-package/"pool" names
+//     and disk/filevol-package/"vol" names rank as before. Acquiring a
+//     lower-ranked lock while holding a higher-ranked one is an inversion;
 //  3. no durability barrier or durable file I/O while a latch-class lock
 //     is held — transitive call summaries decide whether a callee
-//     reaches Volume.Barrier/SyncBarrier or the filevol layer.
+//     reaches a barrier (Disk.Barrier, Store.SyncBarrier, disk.Volume's
+//     Sync) or the filevol layer.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
 	Doc: "check unlock-on-all-paths, the conn→object→store→epoch→latch→pool→volume " +
@@ -85,7 +86,7 @@ func lockRank(v *types.Var) (int, string) {
 		return 2, "store"
 	case name == "epochmu":
 		return 3, "epoch"
-	case strings.Contains(name, "latch"):
+	case name == "volmu":
 		return 4, "latch"
 	case pkg == bufferPkgPath || strings.Contains(name, "pool"):
 		return 5, "pool"
@@ -146,13 +147,15 @@ var osFileIO = map[string]bool{
 
 // directLockEffect classifies a function without looking at its body:
 // barrier methods by name (the Volume interface dispatches them, so no
-// body is available), the filevol package wholesale, and raw *os.File
+// body is available) — Barrier, SyncBarrier, and Sync when the disk
+// package declares it — the filevol package wholesale, and raw *os.File
 // I/O.
 func directLockEffect(fn *types.Func) lockEffect {
 	var eff lockEffect
 	sig, _ := fn.Type().(*types.Signature)
 	isMethod := sig != nil && sig.Recv() != nil
-	if isMethod && (fn.Name() == "Barrier" || fn.Name() == "SyncBarrier") {
+	inDisk := fn.Pkg() != nil && fn.Pkg().Path() == diskPkgPath
+	if isMethod && (fn.Name() == "Barrier" || fn.Name() == "SyncBarrier" || (inDisk && fn.Name() == "Sync")) {
 		eff.barrier = true
 	}
 	if fn.Pkg() != nil && fn.Pkg().Path() == filevolPkgPath {

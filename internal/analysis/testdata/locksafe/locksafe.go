@@ -1,9 +1,9 @@
 // Testdata for the locksafe analyzer: unlock-on-all-paths, the
 // conn → object → store → epoch → latch → pool → volume ordering lattice,
-// and no durability work under a latch. The connection and engine-level
-// classes are assigned by the exact names "connmu", "objmu", "storemu"
-// and "epochmu"; the lower levels by variable name ("latch", "pool",
-// "vol") as before.
+// and no durability work under a latch. The connection, engine-level and
+// latch classes are assigned by the exact names "connmu", "objmu",
+// "storemu", "epochmu" and "volmu"; the lower levels by variable name
+// ("pool", "vol") as before.
 package locktest
 
 import (
@@ -18,7 +18,7 @@ type engine struct {
 	objmu   sync.Mutex
 	storemu sync.Mutex
 	epochmu sync.Mutex
-	latch   sync.Mutex
+	volmu   sync.Mutex
 	poolMu  sync.Mutex
 	volLock sync.RWMutex
 	vol     *disk.Disk
@@ -29,21 +29,21 @@ type engine struct {
 // --- clean: lock/defer-unlock, the dominant idiom ---
 
 func (e *engine) bump() {
-	e.latch.Lock()
-	defer e.latch.Unlock()
+	e.volmu.Lock()
+	defer e.volmu.Unlock()
 	e.n++
 }
 
 // --- clean: explicit unlock on every path ---
 
 func (e *engine) bumpIfSmall() bool {
-	e.latch.Lock()
+	e.volmu.Lock()
 	if e.n > 10 {
-		e.latch.Unlock()
+		e.volmu.Unlock()
 		return false
 	}
 	e.n++
-	e.latch.Unlock()
+	e.volmu.Unlock()
 	return true
 }
 
@@ -58,8 +58,8 @@ func (e *engine) read() int {
 // --- clean: lattice order latch → pool → volume ---
 
 func (e *engine) orderedNesting() {
-	e.latch.Lock()
-	defer e.latch.Unlock()
+	e.volmu.Lock()
+	defer e.volmu.Unlock()
 	e.poolMu.Lock()
 	defer e.poolMu.Unlock()
 	e.volLock.Lock()
@@ -70,21 +70,21 @@ func (e *engine) orderedNesting() {
 // --- violation: missing unlock on an early return ---
 
 func (e *engine) leakOnEarlyReturn() bool {
-	e.latch.Lock() // want `lock "latch" is not released on every path`
+	e.volmu.Lock() // want `lock "volmu" is not released on every path`
 	if e.n > 10 {
 		return false // leaks the latch
 	}
-	e.latch.Unlock()
+	e.volmu.Unlock()
 	return true
 }
 
 // --- violation: double unlock ---
 
 func (e *engine) doubleUnlock() {
-	e.latch.Lock()
+	e.volmu.Lock()
 	e.n++
-	e.latch.Unlock()
-	e.latch.Unlock() // want `"latch" is released twice`
+	e.volmu.Unlock()
+	e.volmu.Unlock() // want `"volmu" is released twice`
 }
 
 // --- violation: lock-order inversion, pool-class acquired then latch ---
@@ -92,8 +92,8 @@ func (e *engine) doubleUnlock() {
 func (e *engine) inverted() {
 	e.poolMu.Lock()
 	defer e.poolMu.Unlock()
-	e.latch.Lock() // want `lock-order inversion: latch-class lock "latch" acquired while pool-class lock "poolMu" is held`
-	defer e.latch.Unlock()
+	e.volmu.Lock() // want `lock-order inversion: latch-class lock "volmu" acquired while pool-class lock "poolMu" is held`
+	defer e.volmu.Unlock()
 	e.n++
 }
 
@@ -146,8 +146,8 @@ func (e *engine) engineDescent() {
 	defer e.storemu.Unlock()
 	e.epochmu.Lock()
 	defer e.epochmu.Unlock()
-	e.latch.Lock()
-	defer e.latch.Unlock()
+	e.volmu.Lock()
+	defer e.volmu.Unlock()
 	e.n++
 }
 
@@ -171,12 +171,12 @@ func (e *engine) invertedStoreUnderEpoch() {
 	e.n++
 }
 
-// --- violation: store mutex taken under a stripe latch ---
+// --- violation: store mutex taken under the volume latch ---
 
 func (e *engine) invertedStoreUnderLatch() {
-	e.latch.Lock()
-	defer e.latch.Unlock()
-	e.storemu.Lock() // want `lock-order inversion: store-class lock "storemu" acquired while latch-class lock "latch" is held`
+	e.volmu.Lock()
+	defer e.volmu.Unlock()
+	e.storemu.Lock() // want `lock-order inversion: store-class lock "storemu" acquired while latch-class lock "volmu" is held`
 	defer e.storemu.Unlock()
 	e.n++
 }
@@ -184,9 +184,9 @@ func (e *engine) invertedStoreUnderLatch() {
 // --- violation: durability barrier invoked under the latch ---
 
 func (e *engine) barrierUnderLatch() error {
-	e.latch.Lock()
-	defer e.latch.Unlock()
-	return e.vol.Barrier() // want `durability barrier reached while latch "latch" is held`
+	e.volmu.Lock()
+	defer e.volmu.Unlock()
+	return e.vol.Barrier() // want `durability barrier reached while latch "volmu" is held`
 }
 
 // --- violation: barrier reached transitively through a helper ---
@@ -196,26 +196,26 @@ func (e *engine) flushEverything() error {
 }
 
 func (e *engine) barrierViaHelper() error {
-	e.latch.Lock()
-	defer e.latch.Unlock()
-	return e.flushEverything() // want `durability barrier reached while latch "latch" is held`
+	e.volmu.Lock()
+	defer e.volmu.Unlock()
+	return e.flushEverything() // want `durability barrier reached while latch "volmu" is held`
 }
 
 // --- violation: raw file I/O under the latch ---
 
 func (e *engine) fileWriteUnderLatch(buf []byte) error {
-	e.latch.Lock()
-	defer e.latch.Unlock()
-	_, err := e.f.Write(buf) // want `durable file I/O reached while latch "latch" is held`
+	e.volmu.Lock()
+	defer e.volmu.Unlock()
+	_, err := e.f.Write(buf) // want `durable file I/O reached while latch "volmu" is held`
 	return err
 }
 
 // --- clean: barrier after the latch is released ---
 
 func (e *engine) barrierAfterUnlock() error {
-	e.latch.Lock()
+	e.volmu.Lock()
 	e.n++
-	e.latch.Unlock()
+	e.volmu.Unlock()
 	return e.vol.Barrier()
 }
 
@@ -241,4 +241,36 @@ func (b *box) bump(other *box) {
 	defer other.mu.Unlock()
 	b.n++
 	other.n++
+}
+
+// --- violation: a volume decorator's Sync holding its latch across the
+// inner volume's barrier, reached through the disk.Volume interface ---
+
+type latchedVolume struct {
+	volmu sync.Mutex
+	inner disk.Volume
+}
+
+func (v *latchedVolume) Sync() error {
+	v.volmu.Lock()
+	defer v.volmu.Unlock()
+	return v.inner.Sync() // want `durability barrier reached while latch "volmu" is held`
+}
+
+// --- clean: the decorator passes Sync through unlatched ---
+
+func (v *latchedVolume) syncUnlatched() error { return v.inner.Sync() }
+
+// --- clean: a name that merely contains "latch" is unranked ---
+
+type stripes struct {
+	latchMu sync.Mutex
+	storemu sync.Mutex
+}
+
+func (s *stripes) nest() {
+	s.latchMu.Lock()
+	defer s.latchMu.Unlock()
+	s.storemu.Lock()
+	defer s.storemu.Unlock()
 }

@@ -19,10 +19,11 @@ import (
 // its own mutex and dropping that mutex for a barrier's device flush, so
 // a pinned read never waits out a committer's fdatasync.
 //
-// Sync is deliberately passed through unlatched. The volume lock ranks
-// last in the engine lock order and must never be held across a
-// durability barrier; the memory backend's Sync is a no-op and the file
-// backend never sits under this decorator.
+// Sync is deliberately passed through unlatched. volmu is the latch class
+// of lobvet's locksafe lattice, last in the engine lock order, and must
+// never be held across a durability barrier (locksafe flags a Sync or
+// Barrier reached under it); the memory backend's Sync is a no-op and the
+// file backend never sits under this decorator.
 type LatchedVolume struct {
 	volmu sync.Mutex
 	inner disk.Volume

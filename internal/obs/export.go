@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -81,69 +80,4 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// jsonHistogram is the JSON form of a fixed-bucket histogram.
-type jsonHistogram struct {
-	Name   string  `json:"name"`
-	Unit   string  `json:"unit"`
-	Bounds []int64 `json:"bounds"`
-	Counts []int64 `json:"counts"`
-	Sum    int64   `json:"sum"`
-	N      int64   `json:"n"`
-	Max    int64   `json:"max"`
-}
-
-// jsonOpLatency is the JSON form of one op's latency percentiles.
-type jsonOpLatency struct {
-	Op   string          `json:"op"`
-	Sim  LatencySummary  `json:"sim"`
-	Wall *LatencySummary `json:"wall,omitempty"`
-}
-
-// metricsJSON is the WriteJSON envelope.
-type metricsJSON struct {
-	Counters   map[string]int64 `json:"counters"`
-	HitRate    float64          `json:"hit_rate"`
-	Histograms []jsonHistogram  `json:"histograms,omitempty"`
-	Latencies  []jsonOpLatency  `json:"latencies,omitempty"`
-}
-
-// WriteJSON renders the registry as one indented JSON document with
-// deterministic field ordering (counter maps marshal sorted by key).
-func (m *Metrics) WriteJSON(w io.Writer) error {
-	m.mu.Lock()
-	doc := metricsJSON{Counters: make(map[string]int64, len(m.counters)), HitRate: m.hitRate()}
-	for k, v := range m.counters {
-		doc.Counters[k] = v
-	}
-	for _, h := range m.histograms() {
-		if h.N == 0 {
-			continue
-		}
-		doc.Histograms = append(doc.Histograms, jsonHistogram{
-			Name:   h.Name,
-			Unit:   h.Unit,
-			Bounds: append([]int64(nil), h.Bounds...),
-			Counts: append([]int64(nil), h.Counts...),
-			Sum:    h.Sum,
-			N:      h.N,
-			Max:    h.Max,
-		})
-	}
-	for op := Op(0); op < numOps; op++ {
-		if !m.created[op] || m.OpSim[op].N() == 0 {
-			continue
-		}
-		jl := jsonOpLatency{Op: op.String(), Sim: m.OpSim[op].Summary()}
-		if m.OpWall[op].N() > 0 {
-			ws := m.OpWall[op].Summary()
-			jl.Wall = &ws
-		}
-		doc.Latencies = append(doc.Latencies, jl)
-	}
-	m.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

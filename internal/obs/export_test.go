@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -150,31 +149,5 @@ func TestWriteProm(t *testing.T) {
 		if len(strings.Fields(line)) != 2 {
 			t.Errorf("malformed exposition line %q", line)
 		}
-	}
-}
-
-func TestMetricsWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenMetrics().WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var doc struct {
-		Counters  map[string]int64 `json:"counters"`
-		HitRate   float64          `json:"hit_rate"`
-		Latencies []struct {
-			Op   string          `json:"op"`
-			Sim  LatencySummary  `json:"sim"`
-			Wall *LatencySummary `json:"wall"`
-		} `json:"latencies"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, buf.String())
-	}
-	if doc.Counters["op.read.count"] != 2 || doc.HitRate != 0.5 {
-		t.Fatalf("decoded doc: %+v", doc)
-	}
-	if len(doc.Latencies) != 1 || doc.Latencies[0].Op != "read" ||
-		doc.Latencies[0].Sim.P99Us != 2500 || doc.Latencies[0].Wall == nil {
-		t.Fatalf("latencies: %+v", doc.Latencies)
 	}
 }

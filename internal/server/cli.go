@@ -16,10 +16,9 @@ import (
 	"lobstore/internal/wire"
 )
 
-// RunServe is the serve command-line entry point, shared by cmd/lobserve
-// and the `lobctl serve` subcommand. prog names the invocation in usage
-// text; args are the flags after the program/subcommand name. It returns
-// a process exit code.
+// RunServe is the serve command-line entry point: the `lobctl serve`
+// subcommand. prog names the invocation in usage text; args are the flags
+// after the subcommand name. It returns a process exit code.
 //
 // The server runs until SIGINT or SIGTERM, then shuts down cleanly:
 // listener closed, live connections torn down, database closed (flushing

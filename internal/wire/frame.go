@@ -1,5 +1,5 @@
 // Package wire is the length-prefixed binary protocol spoken between
-// lobserve and its clients. Every message — request or response — is one
+// `lobctl serve` and its clients. Every message — request or response — is one
 // frame: a fixed 16-byte header followed by a payload of exactly the
 // length the header declares.
 //

@@ -255,14 +255,15 @@ func storeParams(cfg Config) store.Params {
 
 // ErrConfig is the sentinel wrapped by every configuration rejection
 // Open returns: errors.Is(err, lobstore.ErrConfig) distinguishes "fix
-// your Config" from I/O and recovery failures, so front-ends (lobctl,
-// lobserve) can print the message and exit without a stack of retries.
+// your Config" from I/O and recovery failures, so front-ends (lobctl and
+// its serve subcommand) can print the message and exit without a stack of
+// retries.
 var ErrConfig = errors.New("invalid configuration")
 
 // ErrNotExist is the sentinel wrapped by OpenObject and Snapshot when no
 // object with the requested name is cataloged. Front-ends use
-// errors.Is(err, lobstore.ErrNotExist) to tell "create it" (a lobload
-// preload probe, a lobctl reopen) from store failures.
+// errors.Is(err, lobstore.ErrNotExist) to tell "create it" (a lobctl
+// reopen) from store failures.
 var ErrNotExist = errors.New("object does not exist")
 
 // MinConcurrentBufferPages is the smallest buffer pool Open accepts with

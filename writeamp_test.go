@@ -47,7 +47,7 @@ func editStream(seed int64, nobj int, size int64, ops int) []editOp {
 // edit-mix write_amp is the paper's algorithm and how much is the serving
 // stack's: none of it is the stack's. One seeded edit stream over four 4 MB
 // EOS T=16 objects is replayed on the paper configuration (memory backend,
-// single-threaded) and on the configuration lobserve runs (file backend,
+// single-threaded) and on the configuration `lobctl serve` runs (file backend,
 // commit sync, group commit 16, concurrency engine, 256-frame pool), and in
 // every window of the stream the two write exactly the same number of pages
 // in the same number of calls. The preload differs by exactly one one-page
