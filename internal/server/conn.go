@@ -240,10 +240,7 @@ func (c *servConn) doCreate(t reqTask) {
 		c.sendErr(t.hdr.ReqID, err)
 		return
 	}
-	if !c.s.register(name, obj.(*engine.Handle)) {
-		c.sendErrf(t.hdr.ReqID, nil, "object %q already open", name)
-		return
-	}
+	c.s.register(name, obj.(*engine.Handle))
 	c.sendOK(t.hdr.ReqID, 0)
 }
 

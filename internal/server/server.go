@@ -235,16 +235,15 @@ func (s *Server) handle(name []byte) (*engine.Handle, error) {
 	return opened, nil
 }
 
-// register caches a freshly created handle, or returns false if the name
-// got cached concurrently.
-func (s *Server) register(name string, obj *engine.Handle) bool {
+// register caches a freshly created handle. A request on another
+// connection may have opened and cached the new object between its
+// catalog insert and here; that handle is the same object, so it stays.
+func (s *Server) register(name string, obj *engine.Handle) {
 	s.connmu.Lock()
 	defer s.connmu.Unlock()
-	if _, ok := s.handles[name]; ok {
-		return false
+	if _, ok := s.handles[name]; !ok {
+		s.handles[name] = obj
 	}
-	s.handles[name] = obj
-	return true
 }
 
 // engineName maps a wire engine code to the facade's spec string.
